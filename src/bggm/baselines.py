@@ -6,7 +6,7 @@ one chain per replicate with the test labels treated as unknown.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm as _scipy_norm
@@ -208,15 +208,7 @@ class BGBC:
         d = Dataset(y, labels, names)
         h = self.hyper if self.hyper is not None else default_hyperparameters(d.p)
         h = center_mean_prior(h, d)
-        cfg = ChainConfig(
-            iterations=self.config.iterations, burn_in=self.config.burn_in,
-            thin=self.config.thin, seed=seed,
-            r_proposal=self.config.r_proposal,
-            r_walk_step=self.config.r_walk_step,
-            s_proposal_sd=self.config.s_proposal_sd,
-            validate_every=self.config.validate_every,
-        )
-        samples = run_chain(d, h, cfg)
+        samples = run_chain(d, h, replace(self.config, seed=seed))
         classes, _ = predict_labels(summarize(samples))
         return classes, samples
 

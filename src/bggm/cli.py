@@ -12,6 +12,7 @@ explicit flags win over the file, the file wins over defaults.
 """
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -47,11 +48,7 @@ def _chain_options(parser):
     parser.add_argument("--validate-every", type=int, default=None)
 
 
-_CHAIN_DEFAULTS = {
-    "iterations": 5000, "burn_in": 1000, "thin": 1, "seed": 0,
-    "r_proposal": "prior", "r_walk_step": 0.2, "s_proposal_sd": 0.3,
-    "validate_every": 0,
-}
+_CHAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ChainConfig)}
 
 
 def read_config_file(path):
@@ -97,12 +94,7 @@ def _merge_options(args, defaults):
 
 
 def _chain_config(opts):
-    return ChainConfig(
-        iterations=opts["iterations"], burn_in=opts["burn_in"],
-        thin=opts["thin"], seed=opts["seed"], r_proposal=opts["r_proposal"],
-        r_walk_step=opts["r_walk_step"], s_proposal_sd=opts["s_proposal_sd"],
-        validate_every=opts["validate_every"],
-    )
+    return ChainConfig(**{name: opts[name] for name in _CHAIN_DEFAULTS})
 
 
 def _parse_alphas(text):
@@ -253,6 +245,8 @@ def cmd_benchmark(args):
                                       result, header)
     log.info("benchmark means: %s",
              {k: round(v, 2) for k, v in result.mean.items()})
+    log.info("benchmark: %d degenerate splits resampled, %d invariant violations",
+             result.resampled, result.validation_violations)
     return 0
 
 

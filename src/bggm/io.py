@@ -10,6 +10,7 @@ files.
 import csv
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -237,6 +238,8 @@ def write_benchmark_tsv(path, result, header):
         fh.write("# misclassification percentage over "
                  f"{result.errors.shape[0]} random splits; "
                  "network-based SVM column not included\n")
+        fh.write(f"# resampled_splits={result.resampled} "
+                 f"invariant_violations={result.validation_violations}\n")
         fh.write("stat\t" + "\t".join(c.upper() for c in cols) + "\n")
         fh.write("mean\t" + "\t".join(_fmt(result.mean[c]) for c in cols) + "\n")
         fh.write("sd\t" + "\t".join(_fmt(result.sd[c]) for c in cols) + "\n")
@@ -267,16 +270,10 @@ def write_truth_tsv(path, model, names, header):
 def save_results(path, samples: ChainSamples, summary: PosteriorSummary, meta):
     """Persist a fitted run (draws + posterior summary + metadata) as a
     single self-describing .npz bundle with an explicit format version."""
-    cfg = samples.config
     meta_full = dict(meta)
     meta_full["format_version"] = RESULTS_FORMAT_VERSION
     meta_full["tool_version"] = __version__
-    meta_full["chain_config"] = {
-        "iterations": cfg.iterations, "burn_in": cfg.burn_in, "thin": cfg.thin,
-        "seed": cfg.seed, "r_proposal": cfg.r_proposal,
-        "r_walk_step": cfg.r_walk_step, "s_proposal_sd": cfg.s_proposal_sd,
-        "validate_every": cfg.validate_every,
-    }
+    meta_full["chain_config"] = asdict(samples.config)
     meta_full["acceptance"] = samples.acceptance
     meta_full["counts"] = samples.counts
     meta_full["n_violations"] = len(samples.violations)

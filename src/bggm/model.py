@@ -7,7 +7,7 @@ axis of length 2 indexed 0/1 for class 1/class 2.
 """
 
 import io as _io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -202,12 +202,7 @@ def center_mean_prior(h, dataset):
         rows = dataset.class_rows(cls)
         if len(rows):
             mu0[k] = dataset.y[rows].mean(axis=0)
-    return Hyperparameters(
-        edge_a=h.edge_a, edge_b=h.edge_b, diff_e=h.diff_e, diff_f=h.diff_f,
-        s_shape=h.s_shape, s_scale=h.s_scale,
-        label_eta=h.label_eta, label_zeta=h.label_zeta,
-        mu0=mu0, b0=h.b0,
-    )
+    return replace(h, mu0=mu0)
 
 
 @dataclass(frozen=True)
@@ -270,12 +265,7 @@ def apply_prior_network(h, net, names):
         for k in classes:
             edge_a[k, i, j] = edge_a[k, j, i] = a_val
             edge_b[k, i, j] = edge_b[k, j, i] = b_val
-    return Hyperparameters(
-        edge_a=edge_a, edge_b=edge_b, diff_e=h.diff_e, diff_f=h.diff_f,
-        s_shape=h.s_shape, s_scale=h.s_scale,
-        label_eta=h.label_eta, label_zeta=h.label_zeta,
-        mu0=h.mu0, b0=h.b0,
-    )
+    return replace(h, edge_a=edge_a, edge_b=edge_b)
 
 
 @dataclass

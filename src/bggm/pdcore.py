@@ -1,14 +1,16 @@
 """Positive-definiteness kernel.
 
 Deterministic linear algebra used everywhere else: Cholesky-based PD
-tests, the admissible interval for perturbing one entry of a correlation
-matrix while staying positive definite, assembly of a precision matrix
-from (s, A, R) factors, and the multivariate normal log-density in
-precision form.
+tests, the closed-form edge kernel (from the inverse of a correlation
+matrix, the interval of values one entry can take while the matrix stays
+positive definite and the determinant ratio of moving it, both by the
+matrix determinant lemma), assembly of a precision matrix from (s, A, R)
+factors, and the multivariate normal log-density in precision form.
 
 All functions are pure and safe to call concurrently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +20,6 @@ from .errors import InputError, PreconditionError
 # A matrix counts as PD iff every Cholesky pivot exceeds this. Strictly
 # positive so that near-singular proposals are treated as invalid.
 PD_PIVOT_TOL = 1e-10
-
-# Degenerate-quadratic guard for the admissible-interval root solve.
-_QUAD_COEF_TOL = 1e-12
 
 
 def _check_square_symmetric(m, name="matrix"):
@@ -50,61 +49,34 @@ def is_positive_definite(m):
     return bool(np.all(piv * piv > PD_PIVOT_TOL))
 
 
-def _pd_with_entry(c, i, j, x):
-    m = np.array(c, dtype=float, copy=True)
-    m[i, j] = x
-    m[j, i] = x
-    return is_positive_definite(m)
+def entry_kernel(w, i, j, x0, x=None):
+    """Closed-form effect of changing one entry pair of a PD correlation
+    matrix C, given its inverse ``w`` = C^-1.
 
+    Moving c[i, j] (and c[j, i]) from its current value ``x0`` by delta
+    multiplies det C by (matrix determinant lemma)
 
-def _bisect_boundary(c, i, j, inside, outside, iters=60):
-    # Invariant: PD at `inside`, not PD at `outside`.
-    for _ in range(iters):
-        mid = 0.5 * (inside + outside)
-        if _pd_with_entry(c, i, j, mid):
-            inside = mid
-        else:
-            outside = mid
-    return 0.5 * (inside + outside)
+        f(delta) = (1 + delta w_ij)^2 - delta^2 w_ii w_jj,
 
+    a downward quadratic with f(0) = 1. Its roots bound the values that
+    keep C positive definite: the interval has centre x0 + w_ij / D and
+    half-width sqrt(w_ii w_jj) / D, where D = w_ii w_jj - w_ij^2.
 
-def _interval_core(c, i, j):
-    """Root solve behind admissible_interval; ``c`` is mutated at (i, j)
-    during the determinant evaluations and restored before returning."""
-    orig = c[i, j]
-    det = np.linalg.det
-    try:
-        c[i, j] = c[j, i] = -1.0
-        d_neg = float(det(c))
-        c[i, j] = c[j, i] = 0.0
-        d_zero = float(det(c))
-        c[i, j] = c[j, i] = 1.0
-        d_pos = float(det(c))
-    finally:
-        c[i, j] = c[j, i] = orig
-
-    # det(x) = a2 x^2 + a1 x + a0 interpolated through x = -1, 0, 1.
-    a2 = 0.5 * (d_pos + d_neg) - d_zero
-    a1 = 0.5 * (d_pos - d_neg)
-    a0 = d_zero
-
-    if abs(a2) < _QUAD_COEF_TOL:
-        return _interval_by_bisection(c, i, j, float(orig))
-
-    disc = a1 * a1 - 4.0 * a2 * a0
-    if disc <= 0.0:
-        # Rounding can push the discriminant slightly negative when the
-        # interval is tiny; the Cholesky bisection stays reliable there.
-        return _interval_by_bisection(c, i, j, float(orig))
-
-    sq = np.sqrt(disc)
-    qq = -0.5 * (a1 + np.copysign(sq, a1))
-    if qq == 0.0:
-        roots = sorted((-sq / (2.0 * a2), sq / (2.0 * a2)))
-    else:
-        roots = sorted((qq / a2, a0 / qq))
-    lower, upper = roots
-    return max(lower, -1.0), min(upper, 1.0)
+    Returns ``(lower, upper, ratio)``: that interval clipped to [-1, 1],
+    and the determinant ratio f(x - x0) of moving the entry to ``x``
+    (1.0 when ``x`` is omitted). The ratio is not positive when ``x``
+    lies outside the interval.
+    """
+    w_ij = float(w[i, j])
+    root = math.sqrt(float(w[i, i]) * float(w[j, j]))
+    # f(delta) = (1 - delta up_gap) (1 + delta down_gap): the roots
+    # 1 / up_gap and -1 / down_gap are the interval ends, less x0
+    up_gap = root - w_ij
+    down_gap = root + w_ij
+    lower = max(x0 - 1.0 / down_gap, -1.0)
+    upper = min(x0 + 1.0 / up_gap, 1.0)
+    delta = 0.0 if x is None else x - x0
+    return lower, upper, (1.0 - delta * up_gap) * (1.0 + delta * down_gap)
 
 
 def admissible_interval(c, i, j):
@@ -112,13 +84,10 @@ def admissible_interval(c, i, j):
 
     Returns the maximal open interval (u, v) within (-1, 1) such that
     replacing c[i, j] (and c[j, i]) by any x in (u, v) keeps the matrix
-    positive definite. The determinant of the perturbed matrix is a
-    quadratic in x with negative leading coefficient; its roots are
-    recovered from three determinant evaluations. Falls back to
-    bisection against the Cholesky test when the quadratic is
-    numerically degenerate.
+    positive definite: the root pair of the determinant-lemma quadratic
+    of ``entry_kernel``, evaluated from the inverse of ``c``.
     """
-    c = np.array(_check_square_symmetric(c, "correlation matrix"), copy=True)
+    c = _check_square_symmetric(c, "correlation matrix")
     if i == j:
         raise InputError("admissible_interval requires an off-diagonal entry")
     p = c.shape[0]
@@ -128,18 +97,7 @@ def admissible_interval(c, i, j):
         raise PreconditionError(
             "matrix must be positive definite at its current entry value"
         )
-    return _interval_core(c, i, j)
-
-
-def _interval_by_bisection(c, i, j, x0):
-    if _pd_with_entry(c, i, j, -1.0):
-        lower = -1.0
-    else:
-        lower = _bisect_boundary(c, i, j, inside=x0, outside=-1.0)
-    if _pd_with_entry(c, i, j, 1.0):
-        upper = 1.0
-    else:
-        upper = _bisect_boundary(c, i, j, inside=x0, outside=1.0)
+    lower, upper, _ = entry_kernel(np.linalg.inv(c), i, j, float(c[i, j]))
     return lower, upper
 
 

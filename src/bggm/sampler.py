@@ -21,7 +21,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from .errors import InputError, NumericalAbort, ValidationError
 from .model import CLASS1, CLASS2, ChainState, Dataset, validate_state
 from .pdcore import (
-    _interval_core,
+    entry_kernel,
     hadamard_correlation,
     is_positive_definite,
     mvn_logpdf_rows,
@@ -191,14 +191,23 @@ def init_state(d: Dataset, h, seed):
 
 
 class _Workspace:
-    """Per-chain caches: effective correlation matrices and their
-    log-determinants, current class assignments, sums and scatter
-    matrices. Owned by exactly one running chain."""
+    """Per-chain caches: effective correlation matrices C_k = A_k o R_k,
+    their log-determinants and inverses W_k = C_k^-1, current class
+    assignments, sums and scatter matrices. Owned by exactly one running
+    chain.
+
+    W_k is what the edge kernel reads: by the matrix determinant lemma,
+    moving entry (i, j) of C_k by delta multiplies det C_k by
+    (1 + delta w_ij)^2 - delta^2 w_ii w_jj, so the admissible interval
+    and the log-determinant change of a proposal cost O(1). When an
+    accepted move changes C_k, ``refresh_c`` recomputes C_k, its
+    Cholesky log-determinant and W_k in full."""
 
     def __init__(self, st, d):
         self.d = d
         self.c = np.empty((2, d.p, d.p))
         self.logdet_c = np.empty(2)
+        self.w = np.empty((2, d.p, d.p))
         for k in range(2):
             self.refresh_c(st, k)
         self.z = None
@@ -213,6 +222,7 @@ class _Workspace:
         chol = np.linalg.cholesky(c)
         self.c[k] = c
         self.logdet_c[k] = 2.0 * np.sum(np.log(np.diagonal(chol)))
+        self.w[k] = cho_solve((chol, True), np.eye(self.d.p))
 
     def refresh_assignments(self, st):
         z = self.d.labels.copy()
@@ -241,18 +251,7 @@ class _Workspace:
         return 2.0 * float(np.sum(np.log(st.s[k]))) + float(self.logdet_c[k])
 
 
-def _ensure_workspace(st, d, work):
-    return work if work is not None else _Workspace(st, d)
-
-
-def _shrunk_interval(c_k, i, j):
-    # The chain maintains PD as an invariant, so the public precondition
-    # check is skipped on this hot path.
-    u, v = _interval_core(c_k, i, j)
-    return u + INTERVAL_SHRINK, v - INTERVAL_SHRINK
-
-
-def update_edge(st, d, h, i, j, rng, work=None, counters=None,
+def update_edge(st, d, h, i, j, rng, work, counters,
                 r_proposal=R_PROPOSAL_PRIOR, r_walk_step=0.2):
     """Joint update of (a1, a2, r1, r2) at edge (i, j).
 
@@ -268,15 +267,13 @@ def update_edge(st, d, h, i, j, rng, work=None, counters=None,
     """
     if not i < j:
         raise InputError("update_edge requires i < j")
-    work = _ensure_workspace(st, d, work)
-    counters = counters if counters is not None else {}
-    counters.setdefault("edge", [0, 0])
-    counters.setdefault("edge_empty_interval", 0)
     counters["edge"][1] += 1
 
+    c_old = (float(work.c[0, i, j]), float(work.c[1, i, j]))
     intervals = []
     for k in range(2):
-        u, v = _shrunk_interval(work.c[k], i, j)
+        u, v, _ = entry_kernel(work.w[k], i, j, c_old[k])
+        u, v = u + INTERVAL_SHRINK, v - INTERVAL_SHRINK
         if not (u < v):
             counters["edge_empty_interval"] += 1
             return st
@@ -340,22 +337,18 @@ def update_edge(st, d, h, i, j, rng, work=None, counters=None,
         return st
 
     delta_ll = 0.0
-    new_logdet = [work.logdet_c[0], work.logdet_c[1]]
+    changed = []
     for k in range(2):
-        c_old = float(work.c[k][i, j])
         c_new = float(a_new[k]) * r_new[k]
-        if c_new == c_old:
+        if c_new == c_old[k]:
             continue
-        cand = work.c[k].copy()
-        cand[i, j] = cand[j, i] = c_new
-        sign, logdet = np.linalg.slogdet(cand)
-        if sign <= 0 or not np.isfinite(logdet):
+        _, _, ratio = entry_kernel(work.w[k], i, j, c_old[k], c_new)
+        if not ratio > 0.0:
             return st
-        new_logdet[k] = logdet
-        n_k = work.n_k[k]
-        delta_ll += 0.5 * n_k * (logdet - work.logdet_c[k])
+        changed.append(k)
+        delta_ll += 0.5 * work.n_k[k] * math.log(ratio)
         delta_ll -= (
-            st.s[k, i] * st.s[k, j] * (c_new - c_old) * work.scatter[k][i, j]
+            st.s[k, i] * st.s[k, j] * (c_new - c_old[k]) * work.scatter[k][i, j]
         )
 
     if not np.isfinite(delta_ll):
@@ -364,23 +357,19 @@ def update_edge(st, d, h, i, j, rng, work=None, counters=None,
         for k in range(2):
             st.a[k, i, j] = st.a[k, j, i] = a_new[k]
             st.r[k, i, j] = st.r[k, j, i] = r_new[k]
-            work.c[k][i, j] = work.c[k][j, i] = float(a_new[k]) * r_new[k]
-            work.logdet_c[k] = new_logdet[k]
         st.lam[i, j] = st.lam[j, i] = a_new[0] ^ a_new[1]
+        for k in changed:
+            work.refresh_c(st, k)
         counters["edge"][0] += 1
     return st
 
 
-def update_s(st, d, h, i, rng, work=None, counters=None, proposal_sd=0.3):
+def update_s(st, d, h, i, rng, work, counters, proposal_sd=0.3):
     """Metropolis random walk on log S_i, both classes independently.
 
     Target is the Gaussian likelihood times the inverse-gamma(shape,
     scale) prior; the log-move Jacobian is included.
     """
-    work = _ensure_workspace(st, d, work)
-    counters = counters if counters is not None else {}
-    counters.setdefault("s", [0, 0])
-
     for k in range(2):
         counters["s"][1] += 1
         s_cur = float(st.s[k, i])
@@ -405,11 +394,10 @@ def update_s(st, d, h, i, rng, work=None, counters=None, proposal_sd=0.3):
     return st
 
 
-def update_mu(st, d, h, rng, work=None):
+def update_mu(st, d, h, rng, work):
     """Gibbs draw of both class means from the conjugate normal full
     conditional N((B0 + n_k Omega)^-1 (B0 mu0 + Omega sum(y)),
     (B0 + n_k Omega)^-1); classes without members draw from the prior."""
-    work = _ensure_workspace(st, d, work)
     for k in range(2):
         n_k = work.n_k[k]
         noise = rng.standard_normal(st.p)
@@ -444,12 +432,11 @@ def update_q_pi(st, h, rng):
     return st
 
 
-def update_labels(st, d, h, rng, work=None):
+def update_labels(st, d, h, rng, work):
     """Sample each unknown label from its posterior odds, then refresh the
     per-sample Beta probabilities. No-op without unknown samples."""
     if len(st.z_u) == 0:
         return st
-    work = _ensure_workspace(st, d, work)
     rows = d.unknown_rows
     y_u = d.y[rows]
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -139,8 +141,8 @@ class TestBenchmarkCommand:
                        "--seed", 3)
         assert code == 0
         table = (out / "benchmark.tsv").read_text().splitlines()
-        assert table[2].split("\t") == ["stat", "KNN", "LDA", "DLDA", "DQDA", "NBC"]
-        assert table[3].startswith("mean\t")
+        assert table[3].split("\t") == ["stat", "KNN", "LDA", "DLDA", "DQDA", "NBC"]
+        assert table[4].startswith("mean\t")
         raw = (out / "benchmark_replicates.tsv").read_text().splitlines()
         assert len(raw) == 2 + 5  # one replicate, five classifiers
 
@@ -152,9 +154,23 @@ class TestBenchmarkCommand:
                        "--seed", 3)
         assert code == 0
         table = (out / "benchmark.tsv").read_text().splitlines()
-        assert table[2].split("\t") == [
+        assert table[3].split("\t") == [
             "stat", "KNN", "LDA", "DLDA", "DQDA", "NBC", "BGBC"]
         assert "SVM" in table[1]  # absence noted in the header comment
+
+    def test_reports_resampling_and_violations(self, sim_dir, tmp_path_factory,
+                                                caplog):
+        caplog.set_level(logging.INFO, logger="bggm")
+        out = tmp_path_factory.mktemp("bench3")
+        code = run_cli("benchmark", "--data", sim_dir / "dataset.csv",
+                       "--out", out, "--replicates", 1, "--classifiers", "lda,bgbc",
+                       "--iterations", 60, "--burn-in", 20, "--validate-every", 1,
+                       "--seed", 3)
+        assert code == 0
+        table = (out / "benchmark.tsv").read_text().splitlines()
+        assert table[2] == "# resampled_splits=0 invariant_violations=0"
+        assert table[3].split("\t") == ["stat", "LDA", "BGBC"]
+        assert "0 degenerate splits resampled, 0 invariant violations" in caplog.text
 
 
 class TestConfigFileAndErrors:

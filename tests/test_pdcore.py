@@ -6,6 +6,7 @@ from bggm.pdcore import (
     PrecisionFactors,
     admissible_interval,
     assemble_precision,
+    entry_kernel,
     hadamard_correlation,
     is_positive_definite,
     mvn_logpdf,
@@ -161,6 +162,77 @@ class TestAdmissibleInterval:
         before = c.copy()
         admissible_interval(c, 0, 1)
         assert np.array_equal(c, before)
+
+
+def moved(c, i, j, x):
+    m = c.copy()
+    m[i, j] = m[j, i] = x
+    return m
+
+
+def near_singular_correlation(p, rng):
+    """Correlation matrix whose columns (2, 3) and (4, 5) are nearly
+    collinear (condition number near 1e7): det of the block without
+    rows/columns 0 and 1 falls below 1e-12."""
+    g = rng.standard_normal((p, p + 2))
+    g[3] = g[2] + 3e-3 * rng.standard_normal(p + 2)
+    g[5] = g[4] + 3e-3 * rng.standard_normal(p + 2)
+    cov = g @ g.T
+    d = np.sqrt(np.diag(cov))
+    c = cov / np.outer(d, d)
+    c = 0.5 * (c + c.T)
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+class TestEntryKernel:
+    """The determinant-lemma kernel against direct determinant evaluation."""
+
+    def check_kernel(self, c, i, j, tol=1e-9):
+        x0 = c[i, j]
+        w = np.linalg.inv(c)
+        u, v, ratio = entry_kernel(w, i, j, x0)
+        assert ratio == 1.0
+        assert u < x0 < v
+        base = np.linalg.slogdet(c)[1]
+        for x in np.linspace(u, v, 9)[1:-1]:
+            sign, logdet = np.linalg.slogdet(moved(c, i, j, x))
+            assert sign > 0
+            _, _, ratio = entry_kernel(w, i, j, x0, x)
+            assert np.log(ratio) == pytest.approx(logdet - base, abs=tol)
+        for end in (u, v):
+            _, _, ratio = entry_kernel(w, i, j, x0, end)
+            if abs(end) < 1.0:
+                # a root of f: the moved matrix is singular
+                assert ratio == pytest.approx(0.0, abs=1e-9)
+                direct = np.linalg.det(moved(c, i, j, end)) / np.linalg.det(c)
+                assert direct == pytest.approx(0.0, abs=1e-8)
+            else:
+                # clipped: the root lies beyond +-1
+                assert ratio > 0.0
+
+    @pytest.mark.parametrize("p", [3, 10, 40])
+    def test_ratio_matches_slogdet_and_vanishes_at_endpoints(self, p):
+        rng = np.random.default_rng(300 + p)
+        for _ in range(10):
+            c = random_correlation(p, rng)
+            i, j = sorted(rng.choice(p, size=2, replace=False))
+            self.check_kernel(c, i, j)
+
+    def test_near_singular_matrix(self):
+        # the interpolated quadratic det(x) = a2 x^2 + a1 x + a0 through
+        # x = -1, 0, 1 has a leading coefficient below 1e-12 here
+        c = near_singular_correlation(10, np.random.default_rng(8))
+        assert is_positive_definite(c)
+        dets = [np.linalg.det(moved(c, 0, 1, x)) for x in (-1.0, 0.0, 1.0)]
+        assert abs(0.5 * (dets[0] + dets[2]) - dets[1]) < 1e-12
+        # the LU log-determinant itself is only good to about
+        # cond(C) * eps (1e-9) at this conditioning
+        self.check_kernel(c, 0, 1, tol=1e-7)
+        u, v = admissible_interval(c, 0, 1)
+        gu, gv = interval_by_grid(c, 0, 1)
+        assert u == pytest.approx(gu, abs=2e-3)
+        assert v == pytest.approx(gv, abs=2e-3)
 
 
 class TestAssemblePrecision:

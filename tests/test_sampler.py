@@ -45,6 +45,11 @@ def hyper_with(p, edge_ab=None, diff_ef=None, b0_scale=None, mu0=None):
         mu0=h.mu0 if mu0 is None else mu0, b0=b0)
 
 
+def fresh_counters():
+    """The acceptance counters run_chain threads through a sweep."""
+    return {"edge": [0, 0], "s": [0, 0], "edge_empty_interval": 0}
+
+
 def two_class_gaussian(p, n_per, rng, omega1=None, omega2=None, mu1=None, mu2=None):
     omega1 = np.eye(p) if omega1 is None else omega1
     omega2 = np.eye(p) if omega2 is None else omega2
@@ -131,9 +136,10 @@ class TestUpdateMu:
         st.z_u = np.zeros(0, dtype=np.int8)
         draws = []
         gen = np.random.default_rng(11)
+        work = _Workspace(st, d)
         for _ in range(400):
             # class 2 has no members in d
-            update_mu(st, d, h, gen)
+            update_mu(st, d, h, gen, work)
             draws.append(st.mu[1].copy())
         draws = np.array(draws)
         # prior sd = 1e-2, so draws hug mu0
@@ -147,7 +153,7 @@ class TestUpdateMu:
         h = hyper_with(p, b0_scale=1e8, mu0=mu0)
         st = init_state(d, h, seed=1)
         gen = np.random.default_rng(7)
-        update_mu(st, d, h, gen)
+        update_mu(st, d, h, gen, _Workspace(st, d))
         assert np.allclose(st.mu, mu0, atol=1e-3)
 
     def test_matches_closed_form_posterior(self):
@@ -192,7 +198,7 @@ class TestUpdateEdge:
         hits = np.zeros(3)
         sweeps = 20000
         for _ in range(sweeps):
-            update_edge(st, d, h, 0, 1, gen, work=work)
+            update_edge(st, d, h, 0, 1, gen, work, fresh_counters())
             update_q_pi(st, h, gen)
             hits += (st.a[0, 0, 1], st.a[1, 0, 1], st.lam[0, 1])
         got = hits / sweeps
@@ -208,7 +214,7 @@ class TestUpdateEdge:
         gen = np.random.default_rng(19)
         work = _Workspace(st, d)
         for _ in range(50):
-            update_edge(st, d, h, 0, 1, gen, work=work)
+            update_edge(st, d, h, 0, 1, gen, work, fresh_counters())
             assert st.a[0, 0, 1] == 1 and st.a[1, 0, 1] == 1
 
     def test_strong_signal_recovered(self):
@@ -232,7 +238,8 @@ class TestUpdateEdge:
         h = default_hyperparameters(3)
         st = init_state(d, h, seed=6)
         with pytest.raises(InputError):
-            update_edge(st, d, h, 2, 1, np.random.default_rng(0))
+            update_edge(st, d, h, 2, 1, np.random.default_rng(0),
+                        _Workspace(st, d), fresh_counters())
 
 
 class TestUpdateS:
@@ -246,7 +253,7 @@ class TestUpdateS:
         m = 50000
         draws = np.empty(m)
         for t in range(m):
-            update_s(st, d, h, 0, gen, work=work, proposal_sd=2.0)
+            update_s(st, d, h, 0, gen, work, fresh_counters(), proposal_sd=2.0)
             draws[t] = st.s[0, 0]
         want = invgamma.ppf([0.25, 0.5, 0.75], a=1.0, scale=1.0)
         got = np.quantile(draws, [0.25, 0.5, 0.75])
@@ -258,11 +265,11 @@ class TestUpdateS:
         h = default_hyperparameters(p)
         st = init_state(d, h, seed=8)
         before = st.s.copy()
-        counters = {}
+        counters = fresh_counters()
         gen = np.random.default_rng(29)
+        work = _Workspace(st, d)
         for _ in range(200):
-            update_s(st, d, h, 0, gen, work=None, counters=counters,
-                     proposal_sd=1e-9)
+            update_s(st, d, h, 0, gen, work, counters, proposal_sd=1e-9)
         accepted, proposed = counters["s"]
         assert accepted / proposed > 0.999
         assert np.allclose(st.s, before, atol=1e-6)
@@ -285,7 +292,7 @@ class TestUpdateS:
         work = _Workspace(st, d)
         draws = []
         for t in range(3000):
-            update_s(st, d, h, 0, gen, work=work, proposal_sd=0.1)
+            update_s(st, d, h, 0, gen, work, fresh_counters(), proposal_sd=0.1)
             if t >= 500:
                 draws.append(st.s[:, 0].copy())
         post_mean = np.mean(draws, axis=0)
@@ -396,7 +403,7 @@ class TestUpdateLabels:
         h = default_hyperparameters(2)
         st = init_state(d, h, seed=11)
         before = st.z_u.copy()
-        update_labels(st, d, h, np.random.default_rng(1))
+        update_labels(st, d, h, np.random.default_rng(1), _Workspace(st, d))
         assert np.array_equal(st.z_u, before)
 
 
