@@ -153,6 +153,9 @@ def cmd_fit(args):
     log.info("fitting: n=%d (unknown %d), p=%d, %d iterations",
              dataset.n, len(dataset.unknown_rows), dataset.p, cfg.iterations)
     samples = run_chain(dataset, hyper, cfg)
+    log.info("edge kernel: %d accepted moves refactored in full, "
+             "max |W C - I| at re-anchor %.1e",
+             samples.counts["w_refactor_forced"], samples.counts["w_drift_max"])
     summary = summarize(samples)
 
     io.write_chain_summary_tsv(out_dir / "chain_summary.tsv", samples, header)

@@ -21,6 +21,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from .errors import InputError, NumericalAbort, ValidationError
 from .model import CLASS1, CLASS2, ChainState, Dataset, validate_state
 from .pdcore import (
+    det_ratio,
     entry_kernel,
     hadamard_correlation,
     is_positive_definite,
@@ -30,6 +31,13 @@ from .pdcore import (
 # Safety margin stripped from each admissible-interval endpoint before any
 # value is sampled, keeping proposals away from the singular boundary.
 INTERVAL_SHRINK = 1e-8
+
+# An accepted edge move whose determinant ratio lies outside
+# [RANK2_MIN_RATIO, 1 / RANK2_MIN_RATIO] refactors C_k in full instead of
+# updating W_k by rank 2. A small ratio divides the round-off already in
+# W_k by the ratio; a large one cancels most of a large W_k, leaving that
+# round-off on a much smaller result.
+RANK2_MIN_RATIO = 0.1
 
 R_PROPOSAL_PRIOR = "prior"
 R_PROPOSAL_WALK = "walk"
@@ -199,9 +207,11 @@ class _Workspace:
     W_k is what the edge kernel reads: by the matrix determinant lemma,
     moving entry (i, j) of C_k by delta multiplies det C_k by
     (1 + delta w_ij)^2 - delta^2 w_ii w_jj, so the admissible interval
-    and the log-determinant change of a proposal cost O(1). When an
-    accepted move changes C_k, ``refresh_c`` recomputes C_k, its
-    Cholesky log-determinant and W_k in full."""
+    and the log-determinant change of a proposal cost O(1). An accepted
+    move updates C_k, its log-determinant and W_k in O(p^2) through
+    ``move_entry``; ``refresh_c`` recomputes all three from a Cholesky
+    factor in O(p^3), and ``reanchor`` does so for both classes once per
+    sweep so that round-off in W_k cannot accumulate."""
 
     def __init__(self, st, d):
         self.d = d
@@ -224,12 +234,44 @@ class _Workspace:
         self.logdet_c[k] = 2.0 * np.sum(np.log(np.diagonal(chol)))
         self.w[k] = cho_solve((chol, True), np.eye(self.d.p))
 
+    def move_entry(self, k, i, j, x, ratio):
+        """Set C_k[i, j] = C_k[j, i] = ``x``, where ``ratio`` is the
+        determinant ratio of the move (``det_ratio``), and update W_k by
+        Sherman-Morrison-Woodbury: with delta the change of the entry and
+        X = W_k[:, (i, j)],
+
+            W_k <- W_k - X K X',  K = (delta / ratio)
+                  [[-delta w_jj, 1 + delta w_ij], [1 + delta w_ij, -delta w_ii]],
+
+        in O(p^2). ``update_edge`` calls it only for ratios in
+        [RANK2_MIN_RATIO, 1 / RANK2_MIN_RATIO]."""
+        delta = x - self.c.item(k, i, j)
+        cols = self.w[k][:, (i, j)]
+        scale = delta / ratio
+        cross = scale * (1.0 + delta * cols.item(i, 1))
+        gain = np.array([[-scale * delta * cols.item(j, 1), cross],
+                         [cross, -scale * delta * cols.item(i, 0)]])
+        self.w[k] -= cols @ gain @ cols.T
+        self.c[k, i, j] = self.c[k, j, i] = x
+        self.logdet_c[k] += math.log(ratio)
+
+    def reanchor(self, st):
+        """Refactor both classes from a Cholesky factor and return the
+        largest max|W_k C_k - I| found beforehand: the drift the rank-2
+        updates since the last refactor left in W_k."""
+        eye = np.eye(self.d.p)
+        drift = 0.0
+        for k in range(2):
+            drift = max(drift, float(np.max(np.abs(self.w[k] @ self.c[k] - eye))))
+            self.refresh_c(st, k)
+        return drift
+
     def refresh_assignments(self, st):
         z = self.d.labels.copy()
         if len(st.z_u):
             z[self.d.unknown_rows] = st.z_u
         self.z = z
-        self.n_k = np.array([int(np.sum(z == CLASS1)), int(np.sum(z == CLASS2))])
+        self.n_k = (int(np.sum(z == CLASS1)), int(np.sum(z == CLASS2)))
         self.ysum = np.zeros((2, self.d.p))
         for k, cls in enumerate((CLASS1, CLASS2)):
             rows = z == cls
@@ -269,19 +311,21 @@ def update_edge(st, d, h, i, j, rng, work, counters,
         raise InputError("update_edge requires i < j")
     counters["edge"][1] += 1
 
-    c_old = (float(work.c[0, i, j]), float(work.c[1, i, j]))
+    c_old = (work.c.item(0, i, j), work.c.item(1, i, j))
     intervals = []
+    gaps = []
     for k in range(2):
-        u, v, _ = entry_kernel(work.w[k], i, j, c_old[k])
+        u, v, up_gap, down_gap = entry_kernel(work.w[k], i, j, c_old[k])
         u, v = u + INTERVAL_SHRINK, v - INTERVAL_SHRINK
         if not (u < v):
             counters["edge_empty_interval"] += 1
             return st
         intervals.append((u, v))
+        gaps.append((up_gap, down_gap))
 
-    q1 = float(st.q[0, i, j])
-    q2 = float(st.q[1, i, j])
-    pi = float(st.pi[i, j])
+    q1 = st.q.item(0, i, j)
+    q2 = st.q.item(1, i, j)
+    pi = st.pi.item(i, j)
     # Cell weights under the coupled prior; a cell proposing a_k = 0 is
     # feasible only if zeroing the entry keeps that class PD (0 inside the
     # interval). Feasibility depends only on the other entries, so the
@@ -314,7 +358,7 @@ def update_edge(st, d, h, i, j, rng, work, counters,
             cell_idx = idx
             break
     a_new = cells[cell_idx]
-    a_cur = (int(st.a[0, i, j]), int(st.a[1, i, j]))
+    a_cur = (st.a.item(0, i, j), st.a.item(1, i, j))
     if not feasible[cells.index(a_cur)]:
         # The reverse proposal cannot reach the current cell; reject.
         return st
@@ -327,12 +371,13 @@ def update_edge(st, d, h, i, j, rng, work, counters,
             # active candidates walk from the stored value; for an edge
             # coming in from a = 0 that value is the dormant bookkeeping
             # entry (seeded from the empirical partial correlations)
-            cand = float(st.r[k, i, j]) + r_walk_step * rng.standard_normal()
+            cand = st.r.item(k, i, j) + r_walk_step * rng.standard_normal()
             if not (u < cand < v):
                 walk_reject = True
             r_new[k] = cand
         else:
-            r_new[k] = rng.uniform(u, v)
+            # the draw rng.uniform(u, v) makes, at a third of its call cost
+            r_new[k] = u + (v - u) * rng.random()
     if walk_reject:
         return st
 
@@ -342,24 +387,28 @@ def update_edge(st, d, h, i, j, rng, work, counters,
         c_new = float(a_new[k]) * r_new[k]
         if c_new == c_old[k]:
             continue
-        _, _, ratio = entry_kernel(work.w[k], i, j, c_old[k], c_new)
+        delta = c_new - c_old[k]
+        ratio = det_ratio(gaps[k][0], gaps[k][1], delta)
         if not ratio > 0.0:
             return st
-        changed.append(k)
+        changed.append((k, c_new, ratio))
         delta_ll += 0.5 * work.n_k[k] * math.log(ratio)
-        delta_ll -= (
-            st.s[k, i] * st.s[k, j] * (c_new - c_old[k]) * work.scatter[k][i, j]
-        )
+        delta_ll -= (st.s.item(k, i) * st.s.item(k, j) * delta
+                     * work.scatter.item(k, i, j))
 
-    if not np.isfinite(delta_ll):
+    if not math.isfinite(delta_ll):
         return st
     if math.log(rng.random()) < delta_ll:
         for k in range(2):
             st.a[k, i, j] = st.a[k, j, i] = a_new[k]
             st.r[k, i, j] = st.r[k, j, i] = r_new[k]
         st.lam[i, j] = st.lam[j, i] = a_new[0] ^ a_new[1]
-        for k in changed:
-            work.refresh_c(st, k)
+        for k, c_new, ratio in changed:
+            if not RANK2_MIN_RATIO <= ratio <= 1.0 / RANK2_MIN_RATIO:
+                work.refresh_c(st, k)
+                counters["w_refactor_forced"] += 1
+            else:
+                work.move_entry(k, i, j, c_new, ratio)
         counters["edge"][0] += 1
     return st
 
@@ -388,7 +437,7 @@ def update_s(st, d, h, i, rng, work, counters, proposal_sd=0.3):
             - h.s_scale * (1.0 / s_new - 1.0 / s_cur)
         delta += t_new - t_cur  # log-scale proposal Jacobian
 
-        if np.isfinite(delta) and math.log(rng.random()) < delta:
+        if math.isfinite(delta) and math.log(rng.random()) < delta:
             st.s[k, i] = s_new
             counters["s"][0] += 1
     return st
@@ -457,12 +506,29 @@ def update_labels(st, d, h, rng, work):
     return st
 
 
+def new_counters():
+    """The counters ``run_chain`` threads through every sweep: accepted
+    and proposed moves per family, edge proposals rejected for an empty
+    interval, accepted edge moves that refactored C_k in full instead of
+    the rank-2 update, and the largest W_k drift seen at a re-anchor."""
+    return {
+        "edge": [0, 0],
+        "s": [0, 0],
+        "edge_empty_interval": 0,
+        "w_refactor_forced": 0,
+        "w_drift_max": 0.0,
+    }
+
+
 def _sweep(st, d, h, cfg, rng, work, counters):
     p = st.p
     for i in range(p):
         for j in range(i + 1, p):
             update_edge(st, d, h, i, j, rng, work=work, counters=counters,
                         r_proposal=cfg.r_proposal, r_walk_step=cfg.r_walk_step)
+    drift = work.reanchor(st)
+    if drift > counters["w_drift_max"]:
+        counters["w_drift_max"] = drift
     for i in range(p):
         update_s(st, d, h, i, rng, work=work, counters=counters,
                  proposal_sd=cfg.s_proposal_sd)
@@ -491,11 +557,7 @@ def run_chain(d: Dataset, h, cfg: ChainConfig) -> ChainSamples:
     rng = np.random.default_rng(cfg.seed)
     st = init_state(d, h, rng)
     work = _Workspace(st, d)
-    counters = {
-        "edge": [0, 0],
-        "s": [0, 0],
-        "edge_empty_interval": 0,
-    }
+    counters = new_counters()
 
     m = cfg.n_draws
     p = d.p
@@ -525,7 +587,8 @@ def run_chain(d: Dataset, h, cfg: ChainConfig) -> ChainSamples:
             out += 1
 
     acceptance = {}
-    counts = {"edge_empty_interval": counters["edge_empty_interval"]}
+    counts = {key: counters[key] for key in
+              ("edge_empty_interval", "w_refactor_forced", "w_drift_max")}
     for family in ("edge", "s"):
         accepted, proposed = counters[family]
         counts[f"{family}_proposed"] = proposed

@@ -64,6 +64,17 @@ class TestFit:
         lines = (fit_dir / "predictions.tsv").read_text().splitlines()
         assert len(lines) == 2
 
+    def test_logs_edge_kernel_telemetry(self, sim_dir, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="bggm")
+        code = run_cli("fit", "--data", sim_dir / "dataset.csv", "--out", tmp_path,
+                       "--iterations", 60, "--burn-in", 20, "--seed", 6)
+        assert code == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("edge kernel:")]
+        assert len(lines) == 1
+        assert lines[0].startswith("edge kernel: 0 accepted moves refactored in full, "
+                                   "max |W C - I| at re-anchor ")
+
     def test_deterministic_reruns_byte_identical(self, sim_dir, tmp_path_factory):
         out1 = tmp_path_factory.mktemp("fit_a")
         out2 = tmp_path_factory.mktemp("fit_b")

@@ -144,6 +144,15 @@ class TestResultsBundle:
         assert np.allclose(summary2.ppi_common, summary.ppi_common)
         assert np.allclose(summary2.class1_probability, summary.class1_probability)
 
+    def test_chain_counts_roundtrip(self, fitted, tmp_path):
+        d, samples, summary = fitted
+        path = tmp_path / "results.npz"
+        io.save_results(path, samples, summary, meta={"names": list(d.names)})
+        _, _, meta = io.load_results(path)
+        assert meta["counts"] == samples.counts
+        assert meta["counts"]["w_refactor_forced"] == 0
+        assert 0.0 < meta["counts"]["w_drift_max"] < 1e-10
+
     def test_version_check(self, fitted, tmp_path):
         import json
         d, samples, summary = fitted

@@ -12,11 +12,15 @@ from bggm.model import (
     empty_dataset,
     validate_state,
 )
-from bggm.pdcore import assemble_precision, PrecisionFactors, mvn_logpdf
+from bggm.pdcore import det_ratio, entry_kernel, hadamard_correlation
 from bggm.sampler import (
+    INTERVAL_SHRINK,
+    RANK2_MIN_RATIO,
     ChainConfig,
     _Workspace,
+    _sweep,
     init_state,
+    new_counters,
     run_chain,
     update_edge,
     update_labels,
@@ -24,6 +28,8 @@ from bggm.sampler import (
     update_q_pi,
     update_s,
 )
+from oracles import mvn_logpdf
+from test_pdcore import near_singular_correlation, random_correlation
 
 
 def hyper_with(p, edge_ab=None, diff_ef=None, b0_scale=None, mu0=None):
@@ -43,11 +49,6 @@ def hyper_with(p, edge_ab=None, diff_ef=None, b0_scale=None, mu0=None):
         s_shape=h.s_shape, s_scale=h.s_scale,
         label_eta=h.label_eta, label_zeta=h.label_zeta,
         mu0=h.mu0 if mu0 is None else mu0, b0=b0)
-
-
-def fresh_counters():
-    """The acceptance counters run_chain threads through a sweep."""
-    return {"edge": [0, 0], "s": [0, 0], "edge_empty_interval": 0}
 
 
 def two_class_gaussian(p, n_per, rng, omega1=None, omega2=None, mu1=None, mu2=None):
@@ -198,7 +199,7 @@ class TestUpdateEdge:
         hits = np.zeros(3)
         sweeps = 20000
         for _ in range(sweeps):
-            update_edge(st, d, h, 0, 1, gen, work, fresh_counters())
+            update_edge(st, d, h, 0, 1, gen, work, new_counters())
             update_q_pi(st, h, gen)
             hits += (st.a[0, 0, 1], st.a[1, 0, 1], st.lam[0, 1])
         got = hits / sweeps
@@ -214,7 +215,7 @@ class TestUpdateEdge:
         gen = np.random.default_rng(19)
         work = _Workspace(st, d)
         for _ in range(50):
-            update_edge(st, d, h, 0, 1, gen, work, fresh_counters())
+            update_edge(st, d, h, 0, 1, gen, work, new_counters())
             assert st.a[0, 0, 1] == 1 and st.a[1, 0, 1] == 1
 
     def test_strong_signal_recovered(self):
@@ -239,7 +240,133 @@ class TestUpdateEdge:
         st = init_state(d, h, seed=6)
         with pytest.raises(InputError):
             update_edge(st, d, h, 2, 1, np.random.default_rng(0),
-                        _Workspace(st, d), fresh_counters())
+                        _Workspace(st, d), new_counters())
+
+
+def workspace_on(corrs):
+    """State with both classes' graphs full and R_k = ``corrs[k]`` (so
+    C_k = R_k) over an empty dataset, and its workspace."""
+    p = corrs[0].shape[0]
+    d = empty_dataset(p)
+    st = init_state(d, default_hyperparameters(p), seed=0)
+    st.a[:] = 1
+    st.r[:] = corrs
+    return st, d, _Workspace(st, d)
+
+
+def assert_workspace_exact(st, work, tol):
+    """The workspace against direct inversion and slogdet of C_k: log-det
+    to ``tol`` absolute, W_k to ``tol`` relative to its largest entry."""
+    for k in range(2):
+        c = hadamard_correlation(st.a[k], st.r[k])
+        assert np.array_equal(work.c[k], c)
+        sign, logdet = np.linalg.slogdet(c)
+        assert sign > 0
+        assert work.logdet_c[k] == pytest.approx(logdet, abs=tol)
+        inv = np.linalg.inv(c)
+        assert np.max(np.abs(work.w[k] - inv)) <= tol * np.max(np.abs(inv))
+
+
+class TestWorkspaceRank2Update:
+    """move_entry keeps C_k, log det C_k and W_k = C_k^-1 exact over long
+    runs of accepted moves without a refactor."""
+
+    def run_moves(self, st, work, rng, n_moves):
+        p = st.p
+        done = 0
+        while done < n_moves:
+            k = int(rng.integers(2))
+            i, j = sorted(rng.choice(p, size=2, replace=False))
+            x0 = work.c[k, i, j]
+            u, v, up_gap, down_gap = entry_kernel(work.w[k], i, j, x0)
+            x = rng.uniform(u + INTERVAL_SHRINK, v - INTERVAL_SHRINK)
+            ratio = det_ratio(up_gap, down_gap, x - x0)
+            if not RANK2_MIN_RATIO <= ratio <= 1.0 / RANK2_MIN_RATIO:
+                continue  # update_edge refactors these in full
+            st.r[k, i, j] = st.r[k, j, i] = x
+            work.move_entry(k, i, j, x, ratio)
+            done += 1
+
+    @pytest.mark.parametrize("p", [3, 10, 40])
+    def test_random_correlations(self, p):
+        rng = np.random.default_rng(500 + p)
+        st, _, work = workspace_on([random_correlation(p, rng) for _ in range(2)])
+        for _ in range(4):
+            self.run_moves(st, work, rng, 60)
+            assert_workspace_exact(st, work, tol=1e-9)
+
+    def test_near_singular_start(self):
+        # condition number ~9e6 at the start; the oracle's own inverse
+        # and log-det are only good to about cond * eps (2e-9) there
+        c = near_singular_correlation(10, np.random.default_rng(8))
+        assert np.linalg.cond(c) > 1e6
+        st, _, work = workspace_on([c, c.copy()])
+        rng = np.random.default_rng(9)
+        self.run_moves(st, work, rng, 240)
+        assert_workspace_exact(st, work, tol=1e-8)
+
+    def test_out_of_band_moves_refactor_in_full(self):
+        # no data: every proposal is accepted, and uniform values near an
+        # interval end give determinant ratios far from 1 either way
+        st, d, work = workspace_on([np.eye(2), np.eye(2)])
+        h = default_hyperparameters(2)
+        st.q[:] = 1.0  # always propose the edge in both classes
+        rank2_ratios = []
+        move_entry = work.move_entry
+
+        def spy(k, i, j, x, ratio):
+            rank2_ratios.append(ratio)
+            move_entry(k, i, j, x, ratio)
+
+        work.move_entry = spy
+        counters = new_counters()
+        gen = np.random.default_rng(3)
+        low = high = 0
+        for _ in range(200):
+            before = work.c[:, 0, 1].copy()
+            logdet_before = np.array([np.linalg.slogdet(c)[1] for c in work.c])
+            update_edge(st, d, h, 0, 1, gen, work, counters)
+            fresh = _Workspace(st, d)
+            for k in range(2):
+                if work.c[k, 0, 1] == before[k]:
+                    continue
+                change = np.linalg.slogdet(work.c[k])[1] - logdet_before[k]
+                if abs(change) > -np.log(RANK2_MIN_RATIO):
+                    low += change < 0.0
+                    high += change > 0.0
+                    # the fallback leaves a freshly factored class
+                    assert np.array_equal(work.w[k], fresh.w[k])
+                    assert work.logdet_c[k] == fresh.logdet_c[k]
+        assert low > 0 and high > 0
+        assert counters["w_refactor_forced"] == low + high
+        assert RANK2_MIN_RATIO <= min(rank2_ratios)
+        assert max(rank2_ratios) <= 1.0 / RANK2_MIN_RATIO
+        assert counters["edge"] == [200, 200]
+
+
+class TestSweepReanchor:
+    def test_workspace_matches_fresh_and_drift_is_reported(self):
+        rng = np.random.default_rng(42)
+        y_unlab = rng.standard_normal((6, 5))
+        d_lab = two_class_gaussian(5, 12, rng)
+        d = Dataset(np.vstack([d_lab.y, y_unlab]),
+                    np.concatenate([d_lab.labels, np.zeros(6, dtype=int)]),
+                    d_lab.names)
+        h = default_hyperparameters(5)
+        cfg = ChainConfig(iterations=60, burn_in=10, seed=16)
+        st = init_state(d, h, seed=17)
+        work = _Workspace(st, d)
+        counters = new_counters()
+        gen = np.random.default_rng(18)
+        for _ in range(50):
+            _sweep(st, d, h, cfg, gen, work, counters)
+            fresh = _Workspace(st, d)
+            assert np.array_equal(work.c, fresh.c)
+            assert np.allclose(work.logdet_c, fresh.logdet_c, rtol=0, atol=1e-10)
+            assert np.allclose(work.w, fresh.w, rtol=0, atol=1e-10)
+        assert counters["edge"][0] > 100
+        assert counters["w_refactor_forced"] == 0
+        assert 0.0 < counters["w_drift_max"] < 1e-10
 
 
 class TestUpdateS:
@@ -253,7 +380,7 @@ class TestUpdateS:
         m = 50000
         draws = np.empty(m)
         for t in range(m):
-            update_s(st, d, h, 0, gen, work, fresh_counters(), proposal_sd=2.0)
+            update_s(st, d, h, 0, gen, work, new_counters(), proposal_sd=2.0)
             draws[t] = st.s[0, 0]
         want = invgamma.ppf([0.25, 0.5, 0.75], a=1.0, scale=1.0)
         got = np.quantile(draws, [0.25, 0.5, 0.75])
@@ -265,7 +392,7 @@ class TestUpdateS:
         h = default_hyperparameters(p)
         st = init_state(d, h, seed=8)
         before = st.s.copy()
-        counters = fresh_counters()
+        counters = new_counters()
         gen = np.random.default_rng(29)
         work = _Workspace(st, d)
         for _ in range(200):
@@ -292,7 +419,7 @@ class TestUpdateS:
         work = _Workspace(st, d)
         draws = []
         for t in range(3000):
-            update_s(st, d, h, 0, gen, work, fresh_counters(), proposal_sd=0.1)
+            update_s(st, d, h, 0, gen, work, new_counters(), proposal_sd=0.1)
             if t >= 500:
                 draws.append(st.s[:, 0].copy())
         post_mean = np.mean(draws, axis=0)

@@ -3,7 +3,7 @@ import pytest
 
 from bggm.errors import InputError
 from bggm.model import CLASS1, CLASS2
-from bggm.pdcore import is_positive_definite, partial_correlations
+from bggm.pdcore import is_positive_definite
 from bggm.synthetic import (
     EDGE_CONSERVED,
     EDGE_DIFF_CLASS1,
@@ -15,6 +15,7 @@ from bggm.synthetic import (
     _rank_auc,
 )
 from bggm.inference import NET_CLASS1, NetworkCall, EdgeCall
+from oracles import partial_correlations
 
 
 class TestGenerateModel:
