@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, io
-from .baselines import DEFAULT_CLASSIFIERS, SplitPlan, benchmark
+from .baselines import BENCHMARK_CHAIN, DEFAULT_CLASSIFIERS, SplitPlan, benchmark
 from .errors import InputError, NumericalAbort, PreconditionError, ValidationError
 from .inference import (
     NET_CLASS1,
@@ -37,18 +37,42 @@ log = logging.getLogger("bggm")
 _NETWORKS = (NET_CLASS1, NET_CLASS2, NET_DIFFERENTIAL, NET_CONSERVED)
 
 
+def _dataset_options(parser):
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--config", default=None)
+    parser.add_argument("--label-column", default=None)
+    parser.add_argument("--unknown-token", default=None)
+    parser.add_argument("--class-names", default=None,
+                        help="comma-separated pair mapped to class1,class2")
+
+
+_DATASET_DEFAULTS = {"label_column": "label", "unknown_token": "?", "class_names": ""}
+
+
+def _read_dataset(args, opts):
+    class_names = None
+    if opts["class_names"]:
+        class_names = tuple(tok.strip() for tok in opts["class_names"].split(","))
+    return io.read_dataset_csv(
+        args.data, label_column=opts["label_column"],
+        unknown_token=opts["unknown_token"], class_names=class_names)
+
+
 def _chain_options(parser):
     parser.add_argument("--iterations", type=int, default=None)
     parser.add_argument("--burn-in", type=int, default=None)
     parser.add_argument("--thin", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--r-proposal", choices=["prior", "walk"], default=None)
+    parser.add_argument("--r-proposal", choices=["prior", "walk"], default=None,
+                        help="correlation proposal (default prior); walk "
+                             "proposals do not keep the target posterior")
     parser.add_argument("--r-walk-step", type=float, default=None)
     parser.add_argument("--s-proposal-sd", type=float, default=None)
     parser.add_argument("--validate-every", type=int, default=None)
 
 
-_CHAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ChainConfig)}
+_CHAIN_DEFAULTS = dataclasses.asdict(ChainConfig())
 
 
 def read_config_file(path):
@@ -75,17 +99,14 @@ def _merge_options(args, defaults):
         file_opts = read_config_file(cfg_path)
         unknown = set(file_opts) - set(defaults)
         if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
+            raise InputError(f"{cfg_path}: unknown config keys: {sorted(unknown)}")
         for key, raw in file_opts.items():
-            template = defaults[key]
-            if isinstance(template, bool):
-                merged[key] = raw.lower() in ("1", "true", "yes")
-            elif isinstance(template, int):
-                merged[key] = int(raw)
-            elif isinstance(template, float):
-                merged[key] = float(raw)
-            else:
-                merged[key] = raw
+            kind = type(defaults[key])
+            try:
+                merged[key] = kind(raw)
+            except ValueError:
+                raise InputError(
+                    f"{cfg_path}: {key} = {raw!r} is not a valid {kind.__name__}")
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -119,19 +140,9 @@ def _write_networks(out_dir, summary, names, alphas, seed, cfg_hash):
 
 
 def cmd_fit(args):
-    defaults = dict(_CHAIN_DEFAULTS)
-    defaults.update({
-        "label_column": "label", "unknown_token": "?",
-        "class_names": "", "prior_network": "", "alpha": "0.1",
-    })
-    opts = _merge_options(args, defaults)
-
-    class_names = None
-    if opts["class_names"]:
-        class_names = tuple(tok.strip() for tok in opts["class_names"].split(","))
-    dataset, class_names = io.read_dataset_csv(
-        args.data, label_column=opts["label_column"],
-        unknown_token=opts["unknown_token"], class_names=class_names)
+    opts = _merge_options(args, {**_CHAIN_DEFAULTS, **_DATASET_DEFAULTS,
+                                 "prior_network": "", "alpha": "0.1"})
+    dataset, class_names = _read_dataset(args, opts)
     dataset.require_labeled(min_per_class=2)
 
     hyper = default_hyperparameters(dataset.p)
@@ -174,22 +185,22 @@ def cmd_fit(args):
 
 
 def cmd_predict(args):
-    samples, summary, meta = io.load_results(args.results)
+    summary, meta = io.load_results(args.results)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = io.format_header(samples.config.seed, meta["config_hash"])
+    header = io.format_header(meta["chain_config"]["seed"], meta["config_hash"])
     io.write_predictions_tsv(out_dir / "predictions.tsv", summary,
                              tuple(meta["class_names"]), header)
     return 0
 
 
 def cmd_networks(args):
-    samples, summary, meta = io.load_results(args.results)
+    summary, meta = io.load_results(args.results)
     alphas = _parse_alphas(args.alpha)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_networks(out_dir, summary, tuple(meta["names"]), alphas,
-                    samples.config.seed, meta["config_hash"])
+                    meta["chain_config"]["seed"], meta["config_hash"])
     return 0
 
 
@@ -217,21 +228,12 @@ def cmd_simulate(args):
 
 
 def cmd_benchmark(args):
-    defaults = dict(_CHAIN_DEFAULTS)
-    defaults.update({
-        "iterations": 2000, "burn_in": 500,
-        "label_column": "label", "unknown_token": "?", "class_names": "",
+    opts = _merge_options(args, {
+        **dataclasses.asdict(BENCHMARK_CHAIN), **_DATASET_DEFAULTS,
         "replicates": 25, "train_fraction": 2.0 / 3.0,
         "classifiers": ",".join(DEFAULT_CLASSIFIERS), "knn_k": 5,
     })
-    opts = _merge_options(args, defaults)
-
-    class_names = None
-    if opts["class_names"]:
-        class_names = tuple(tok.strip() for tok in opts["class_names"].split(","))
-    dataset, class_names = io.read_dataset_csv(
-        args.data, label_column=opts["label_column"],
-        unknown_token=opts["unknown_token"], class_names=class_names)
+    dataset, _ = _read_dataset(args, opts)
 
     plan = SplitPlan(n_replicates=opts["replicates"],
                      train_fraction=opts["train_fraction"], seed=opts["seed"])
@@ -265,13 +267,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit the model and write networks/predictions")
-    p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--config", default=None)
-    p_fit.add_argument("--label-column", default=None)
-    p_fit.add_argument("--unknown-token", default=None)
-    p_fit.add_argument("--class-names", default=None,
-                       help="comma-separated pair mapped to class1,class2")
+    _dataset_options(p_fit)
     p_fit.add_argument("--prior-network", default=None)
     p_fit.add_argument("--alpha", default=None,
                        help="comma-separated FDR levels (default 0.1)")
@@ -303,12 +299,7 @@ def build_parser():
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("benchmark", help="repeated-split classifier comparison")
-    p_bench.add_argument("--data", required=True)
-    p_bench.add_argument("--out", required=True)
-    p_bench.add_argument("--config", default=None)
-    p_bench.add_argument("--label-column", default=None)
-    p_bench.add_argument("--unknown-token", default=None)
-    p_bench.add_argument("--class-names", default=None)
+    _dataset_options(p_bench)
     p_bench.add_argument("--replicates", type=int, default=None)
     p_bench.add_argument("--train-fraction", type=float, default=None)
     p_bench.add_argument("--classifiers", default=None)

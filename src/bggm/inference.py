@@ -23,11 +23,9 @@ PHI_EMPTY = 1.0 + 1e-9
 class PosteriorSummary:
     """Model-averaged posterior quantities from one chain."""
 
-    n_draws: int
     ppi_class1: np.ndarray        # (p, p) edge inclusion probability, class 1
     ppi_class2: np.ndarray        # (p, p) class 2
     ppi_diff: np.ndarray          # (p, p) differential-edge probability
-    ppi_common: np.ndarray        # 1 - ppi_diff
     mean_partial_corr: np.ndarray  # (2, p, p) model-averaged partial correlations
     bma_omega: np.ndarray         # (2, p, p) model-averaged precision matrices
     class1_probability: np.ndarray  # (n_u,)
@@ -36,6 +34,13 @@ class PosteriorSummary:
     @property
     def p(self):
         return self.ppi_class1.shape[0]
+
+    @property
+    def ppi_common(self):
+        """1 - ppi_diff off the diagonal, 0 on it."""
+        common = 1.0 - self.ppi_diff
+        np.fill_diagonal(common, 0.0)
+        return common
 
     def ppi(self, which):
         return {
@@ -76,8 +81,6 @@ def summarize(samples) -> PosteriorSummary:
         np.fill_diagonal(ppi_k[k], 0.0)
     ppi_diff = samples.lam.astype(float).mean(axis=0)
     np.fill_diagonal(ppi_diff, 0.0)
-    ppi_common = 1.0 - ppi_diff
-    np.fill_diagonal(ppi_common, 0.0)
 
     # C = a * r per draw; an inactive edge contributes zero partial
     # correlation, and rho = -C off the diagonal.
@@ -96,9 +99,7 @@ def summarize(samples) -> PosteriorSummary:
         class1_prob = np.zeros(samples.z_u.shape[1])
 
     return PosteriorSummary(
-        n_draws=m,
-        ppi_class1=ppi_k[0], ppi_class2=ppi_k[1],
-        ppi_diff=ppi_diff, ppi_common=ppi_common,
+        ppi_class1=ppi_k[0], ppi_class2=ppi_k[1], ppi_diff=ppi_diff,
         mean_partial_corr=mean_pc, bma_omega=bma,
         class1_probability=class1_prob,
         unknown_rows=samples.unknown_rows.copy(),
@@ -179,14 +180,14 @@ def call_network(summary: PosteriorSummary, which, alpha) -> NetworkCall:
                        edges=tuple(edges))
 
 
-def predict_labels(summary: PosteriorSummary, cut=0.5):
+def predict_labels(summary: PosteriorSummary):
     """Hard class calls for the unknown samples.
 
     Returns (classes, probabilities); class 1 wherever the posterior
-    class-1 probability is >= cut (ties at the cut go to class 1).
+    class-1 probability is >= 0.5 (ties go to class 1).
     """
     if summary.class1_probability.size == 0:
         raise InputError("the fitted run had no unknown samples")
     probs = summary.class1_probability
-    classes = np.where(probs >= cut, CLASS1, CLASS2)
+    classes = np.where(probs >= 0.5, CLASS1, CLASS2)
     return classes, probs.copy()

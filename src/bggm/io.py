@@ -18,7 +18,7 @@ from . import __version__
 from .errors import InputError, ValidationError
 from .inference import NET_DIFFERENTIAL, NetworkCall, PosteriorSummary
 from .model import CLASS1, CLASS2, UNKNOWN, Dataset, PriorNetwork
-from .sampler import ChainConfig, ChainSamples
+from .sampler import ChainSamples
 
 RESULTS_FORMAT_VERSION = 1
 
@@ -106,13 +106,10 @@ def read_dataset_csv(path, label_column="label", unknown_token="?",
     return Dataset(np.array(values, dtype=float), labels, tuple(names)), class_names
 
 
-def write_dataset_csv(path, d: Dataset, class_names, label_column="label",
-                      unknown_token="?", header=None):
-    names = {CLASS1: class_names[0], CLASS2: class_names[1],
-             UNKNOWN: unknown_token}
+def write_dataset_csv(path, d: Dataset, class_names, header, label_column="label"):
+    names = {CLASS1: class_names[0], CLASS2: class_names[1], UNKNOWN: "?"}
     with open(path, "w", newline="") as fh:
-        if header:
-            fh.write(header + "\n")
+        fh.write(header + "\n")
         writer = csv.writer(fh)
         writer.writerow(list(d.names) + [label_column])
         for row, lab in zip(d.y, d.labels):
@@ -178,25 +175,6 @@ def write_network_dot(path, call: NetworkCall, names, header):
         fh.write("}\n")
 
 
-def read_network_dot(path):
-    """Parse back the edges written by write_network_dot; used by the
-    round-trip checks. Returns a list of (name_i, name_j, color, penwidth,
-    ppi) tuples."""
-    import re
-
-    pattern = re.compile(
-        r'"(?P<a>[^"]+)" -- "(?P<b>[^"]+)" '
-        r'\[color=(?P<color>\w+), penwidth=(?P<pw>[\d.]+), ppi="(?P<ppi>[^"]+)"\]')
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            match = pattern.search(line)
-            if match:
-                out.append((match["a"], match["b"], match["color"],
-                            float(match["pw"]), float(match["ppi"])))
-    return out
-
-
 def write_predictions_tsv(path, summary: PosteriorSummary, class_names, header):
     names = {CLASS1: class_names[0], CLASS2: class_names[1]}
     with open(path, "w") as fh:
@@ -218,9 +196,9 @@ def write_chain_summary_tsv(path, samples: ChainSamples, header):
             ("thin", cfg.thin),
             ("seed", cfg.seed),
             ("draws", samples.n_draws),
-            ("acceptance_edge", _fmt(samples.acceptance.get("edge", 0.0))),
-            ("acceptance_s", _fmt(samples.acceptance.get("s", 0.0))),
-            ("edge_empty_interval", samples.counts.get("edge_empty_interval", 0)),
+            ("acceptance_edge", _fmt(samples.acceptance["edge"])),
+            ("acceptance_s", _fmt(samples.acceptance["s"])),
+            ("edge_empty_interval", samples.counts["edge_empty_interval"]),
             ("invariant_violations", len(samples.violations)),
         ]
         for key, value in rows:
@@ -292,31 +270,19 @@ def save_results(path, samples: ChainSamples, summary: PosteriorSummary, meta):
 
 
 def load_results(path):
-    """Inverse of save_results: (ChainSamples, PosteriorSummary, meta)."""
+    """Posterior summary and metadata of a bundle written by
+    save_results: (PosteriorSummary, meta)."""
     with np.load(path, allow_pickle=False) as npz:
         meta = json.loads(str(npz["meta"]))
         if meta.get("format_version") != RESULTS_FORMAT_VERSION:
             raise InputError(
                 f"{path}: unsupported results format {meta.get('format_version')!r}")
-        cfg = ChainConfig(**meta["chain_config"])
-        samples = ChainSamples(
-            config=cfg, p=npz["ppi_class1"].shape[0],
-            unknown_rows=npz["unknown_rows"],
-            a=npz["draws_a"], r=npz["draws_r"], s=npz["draws_s"],
-            mu=npz["draws_mu"], lam=npz["draws_lam"], z_u=npz["draws_z"],
-            acceptance=meta["acceptance"], counts=meta["counts"],
-            violations=[None] * meta["n_violations"],
-        )
-        ppi_diff = npz["ppi_diff"]
-        ppi_common = 1.0 - ppi_diff
-        np.fill_diagonal(ppi_common, 0.0)
         summary = PosteriorSummary(
-            n_draws=samples.n_draws,
             ppi_class1=npz["ppi_class1"], ppi_class2=npz["ppi_class2"],
-            ppi_diff=ppi_diff, ppi_common=ppi_common,
+            ppi_diff=npz["ppi_diff"],
             mean_partial_corr=npz["mean_partial_corr"],
             bma_omega=npz["bma_omega"],
             class1_probability=npz["class1_probability"],
             unknown_rows=npz["unknown_rows"],
         )
-    return samples, summary, meta
+    return summary, meta

@@ -6,8 +6,7 @@ classes, 0 for unknown. Hyperparameter and state arrays carry a leading
 axis of length 2 indexed 0/1 for class 1/class 2.
 """
 
-import io as _io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,10 +97,10 @@ class Dataset:
                 )
 
 
-def empty_dataset(p, names=None):
+def empty_dataset(p):
     """Dataset with no rows, used to sample from the prior."""
-    names = names if names is not None else [f"V{i + 1}" for i in range(p)]
-    return Dataset(np.zeros((0, p)), np.zeros(0, dtype=int), tuple(names))
+    names = tuple(f"V{i + 1}" for i in range(p))
+    return Dataset(np.zeros((0, p)), np.zeros(0, dtype=int), names)
 
 
 @dataclass(frozen=True)
@@ -274,9 +273,9 @@ class ChainState:
 
     Per class k in {0, 1}: selection matrix a, correlation-role matrix r,
     scales s, means mu, edge probabilities q. Shared: differential
-    indicators lam (= XOR of the two selection matrices), differential
     probabilities pi, per-unknown-sample label probabilities h and
-    sampled labels z_u (values 1/2).
+    sampled labels z_u (values 1/2). The differential indicators are
+    a1 XOR a2 and are computed where they are read.
     """
 
     a: np.ndarray    # (2, p, p) int8
@@ -284,7 +283,6 @@ class ChainState:
     s: np.ndarray    # (2, p) float
     mu: np.ndarray   # (2, p) float
     q: np.ndarray    # (2, p, p) float
-    lam: np.ndarray  # (p, p) int8
     pi: np.ndarray   # (p, p) float
     h: np.ndarray    # (n_u,) float
     z_u: np.ndarray  # (n_u,) int8
@@ -293,24 +291,6 @@ class ChainState:
     def p(self):
         return self.s.shape[1]
 
-    def copy(self):
-        return ChainState(
-            a=self.a.copy(), r=self.r.copy(), s=self.s.copy(), mu=self.mu.copy(),
-            q=self.q.copy(), lam=self.lam.copy(), pi=self.pi.copy(),
-            h=self.h.copy(), z_u=self.z_u.copy(),
-        )
-
-    def to_bytes(self):
-        buf = _io.BytesIO()
-        np.savez(buf, a=self.a, r=self.r, s=self.s, mu=self.mu, q=self.q,
-                 lam=self.lam, pi=self.pi, h=self.h, z_u=self.z_u)
-        return buf.getvalue()
-
-    @staticmethod
-    def from_bytes(blob):
-        with np.load(_io.BytesIO(blob)) as npz:
-            return ChainState(**{key: npz[key] for key in npz.files})
-
 
 def validate_state(st):
     """Diagnostic check of every ChainState invariant.
@@ -318,7 +298,6 @@ def validate_state(st):
     Returns the full list of violation strings; empty means ok.
     """
     bad = []
-    p = st.p
     for k in range(2):
         a_k = st.a[k]
         r_k = st.r[k]
@@ -338,12 +317,6 @@ def validate_state(st):
             bad.append(f"q: class {k + 1} edge probabilities outside (0, 1)")
         if not is_positive_definite(hadamard_correlation(a_k, r_k)):
             bad.append(f"PD: class {k + 1} effective correlation not positive definite")
-    xor = (st.a[0] != st.a[1]).astype(np.int8)
-    np.fill_diagonal(xor, 0)
-    lam = st.lam.copy()
-    np.fill_diagonal(lam, 0)
-    if not np.array_equal(lam, xor):
-        bad.append("lambda-XOR: lam disagrees with XOR of the selection matrices")
     if not np.all((st.pi > 0) & (st.pi < 1)):
         bad.append("pi: differential probabilities outside (0, 1)")
     if st.h.shape != st.z_u.shape:

@@ -49,6 +49,8 @@ class ChainConfig:
     burn_in: int = 1000
     thin: int = 1
     seed: int = 0
+    # walk proposals lack the proposal-density term in their acceptance
+    # ratio, so a walk chain does not keep the target posterior
     r_proposal: str = R_PROPOSAL_PRIOR
     r_walk_step: float = 0.2
     s_proposal_sd: float = 0.3
@@ -75,10 +77,10 @@ class ChainConfig:
 
 @dataclass
 class ChainSamples:
-    """Thinned post-burn-in draws plus acceptance statistics."""
+    """Thinned post-burn-in draws plus the chain's counters
+    (``new_counters``) and invariant violations."""
 
     config: ChainConfig
-    p: int
     unknown_rows: np.ndarray
     a: np.ndarray     # (M, 2, p, p) uint8
     r: np.ndarray     # (M, 2, p, p) float
@@ -86,7 +88,6 @@ class ChainSamples:
     mu: np.ndarray    # (M, 2, p) float
     lam: np.ndarray   # (M, p, p) uint8
     z_u: np.ndarray   # (M, n_u) uint8
-    acceptance: dict
     counts: dict
     violations: list = field(default_factory=list)
 
@@ -95,31 +96,29 @@ class ChainSamples:
         return self.a.shape[0]
 
     @property
-    def seed(self):
-        return self.config.seed
-
-
-def _rng_from(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+    def acceptance(self):
+        """Accepted over proposed moves per family, 0 when none was proposed."""
+        c = self.counts
+        return {fam: c[f"{fam}_accepted"] / max(c[f"{fam}_proposed"], 1)
+                for fam in ("edge", "s")}
 
 
 _INIT_SHRINK = 0.5
 
 
-def _shrunk_precision(y_rows, ridge=1e-6, shrink=None):
-    """Empirical precision of a sample block: the covariance is blended
-    toward its diagonal (base weight ``shrink``, escalated until the
-    Cholesky factorization succeeds) and inverted. The shrinkage keeps
-    the starting point conservative when n is small relative to p."""
+def _shrunk_precision(y_rows):
+    """Empirical precision of a sample block: a ridge of 1e-6 times the
+    mean variance is added, the covariance is blended toward its diagonal
+    (base weight ``_INIT_SHRINK``, escalated until the Cholesky
+    factorization succeeds) and inverted. The shrinkage keeps the
+    starting point conservative when n is small relative to p."""
     cov = np.cov(y_rows, rowvar=False)
     cov = np.atleast_2d(cov)
     scale = np.trace(cov) / cov.shape[0]
     if scale <= 0 or not np.isfinite(scale):
         scale = 1.0
-    cov = cov + ridge * scale * np.eye(cov.shape[0])
-    w = _INIT_SHRINK if shrink is None else shrink
+    cov = cov + 1e-6 * scale * np.eye(cov.shape[0])
+    w = _INIT_SHRINK
     for _ in range(60):
         blended = (1.0 - w) * cov + w * np.diag(np.diag(cov))
         if is_positive_definite(blended):
@@ -141,8 +140,8 @@ def _project_unit_correlation(r):
     return out
 
 
-def init_state(d: Dataset, h, seed):
-    """Deterministic-by-seed initial state.
+def init_state(d: Dataset, h):
+    """Deterministic initial state; it draws no random numbers.
 
     Empty graphs, correlation-role matrices seeded from the (negated,
     shrunk) empirical partial correlations of the labeled samples per
@@ -150,7 +149,6 @@ def init_state(d: Dataset, h, seed):
     the class sample means, Beta probabilities at their prior means and
     unknown labels assigned to the nearest class mean.
     """
-    rng = _rng_from(seed)
     p = d.p
     a = np.zeros((2, p, p), dtype=np.int8)
     a[:] = np.eye(p, dtype=np.int8)
@@ -167,22 +165,24 @@ def init_state(d: Dataset, h, seed):
             raise ValidationError(
                 f"init needs at least 2 labeled samples in class {cls}"
             )
-        prec = _shrunk_precision(d.y[rows])
+        block = d.y[rows]
+        constant = [d.names[c] for c in np.flatnonzero(np.ptp(block, axis=0) == 0)]
+        if constant:
+            raise ValidationError(
+                f"constant column(s) {constant} in class {cls}'s labeled samples")
+        prec = _shrunk_precision(block)
         prec = 0.5 * (prec + prec.T)
         diag = np.sqrt(np.diag(prec))
         # rho_ij = -omega_ij / sqrt(omega_ii omega_jj); an active edge
         # contributes C_ij = r_ij = -rho_ij, so seed r with the negation.
-        rho = -prec / np.outer(diag, diag)
-        np.fill_diagonal(rho, 1.0)
-        r_k = -rho
+        r_k = prec / np.outer(diag, diag)
         np.fill_diagonal(r_k, 1.0)
         r[k] = _project_unit_correlation(np.clip(r_k, -0.999, 0.999))
         s[k] = diag
-        mu[k] = d.y[rows].mean(axis=0)
+        mu[k] = block.mean(axis=0)
 
     q = h.edge_a / (h.edge_a + h.edge_b)
     pi = h.diff_e / (h.diff_e + h.diff_f)
-    lam = np.zeros((p, p), dtype=np.int8)
 
     unknown = d.unknown_rows
     n_u = len(unknown)
@@ -194,7 +194,7 @@ def init_state(d: Dataset, h, seed):
     else:
         z_u = np.zeros(0, dtype=np.int8)
 
-    return ChainState(a=a, r=r, s=s, mu=mu, q=q.copy(), lam=lam, pi=pi.copy(),
+    return ChainState(a=a, r=r, s=s, mu=mu, q=q.copy(), pi=pi.copy(),
                       h=h_prob, z_u=z_u)
 
 
@@ -293,7 +293,7 @@ class _Workspace:
         return 2.0 * float(np.sum(np.log(st.s[k]))) + float(self.logdet_c[k])
 
 
-def update_edge(st, d, h, i, j, rng, work, counters,
+def update_edge(st, i, j, rng, work, counters,
                 r_proposal=R_PROPOSAL_PRIOR, r_walk_step=0.2):
     """Joint update of (a1, a2, r1, r2) at edge (i, j).
 
@@ -309,7 +309,7 @@ def update_edge(st, d, h, i, j, rng, work, counters,
     """
     if not i < j:
         raise InputError("update_edge requires i < j")
-    counters["edge"][1] += 1
+    counters["edge_proposed"] += 1
 
     c_old = (work.c.item(0, i, j), work.c.item(1, i, j))
     intervals = []
@@ -402,25 +402,24 @@ def update_edge(st, d, h, i, j, rng, work, counters,
         for k in range(2):
             st.a[k, i, j] = st.a[k, j, i] = a_new[k]
             st.r[k, i, j] = st.r[k, j, i] = r_new[k]
-        st.lam[i, j] = st.lam[j, i] = a_new[0] ^ a_new[1]
         for k, c_new, ratio in changed:
             if not RANK2_MIN_RATIO <= ratio <= 1.0 / RANK2_MIN_RATIO:
                 work.refresh_c(st, k)
                 counters["w_refactor_forced"] += 1
             else:
                 work.move_entry(k, i, j, c_new, ratio)
-        counters["edge"][0] += 1
+        counters["edge_accepted"] += 1
     return st
 
 
-def update_s(st, d, h, i, rng, work, counters, proposal_sd=0.3):
+def update_s(st, h, i, rng, work, counters, proposal_sd=0.3):
     """Metropolis random walk on log S_i, both classes independently.
 
     Target is the Gaussian likelihood times the inverse-gamma(shape,
     scale) prior; the log-move Jacobian is included.
     """
     for k in range(2):
-        counters["s"][1] += 1
+        counters["s_proposed"] += 1
         s_cur = float(st.s[k, i])
         t_cur = math.log(s_cur)
         t_new = t_cur + proposal_sd * rng.standard_normal()
@@ -439,11 +438,11 @@ def update_s(st, d, h, i, rng, work, counters, proposal_sd=0.3):
 
         if math.isfinite(delta) and math.log(rng.random()) < delta:
             st.s[k, i] = s_new
-            counters["s"][0] += 1
+            counters["s_accepted"] += 1
     return st
 
 
-def update_mu(st, d, h, rng, work):
+def update_mu(st, h, rng, work):
     """Gibbs draw of both class means from the conjugate normal full
     conditional N((B0 + n_k Omega)^-1 (B0 mu0 + Omega sum(y)),
     (B0 + n_k Omega)^-1); classes without members draw from the prior."""
@@ -474,7 +473,7 @@ def update_q_pi(st, h, rng):
         draw = rng.beta(h.edge_a[k][iu] + a_vals, h.edge_b[k][iu] + 1.0 - a_vals)
         st.q[k][iu] = draw
         st.q[k].T[iu] = draw
-    lam_vals = st.lam[iu].astype(float)
+    lam_vals = (st.a[0][iu] != st.a[1][iu]).astype(float)
     draw = rng.beta(h.diff_e[iu] + lam_vals, h.diff_f[iu] + 1.0 - lam_vals)
     st.pi[iu] = draw
     st.pi.T[iu] = draw
@@ -507,13 +506,16 @@ def update_labels(st, d, h, rng, work):
 
 
 def new_counters():
-    """The counters ``run_chain`` threads through every sweep: accepted
-    and proposed moves per family, edge proposals rejected for an empty
-    interval, accepted edge moves that refactored C_k in full instead of
-    the rank-2 update, and the largest W_k drift seen at a re-anchor."""
+    """The counters ``run_chain`` threads through every sweep and reports
+    as ``counts``: proposed and accepted moves per family, edge proposals
+    rejected for an empty interval, accepted edge moves that refactored
+    C_k in full instead of the rank-2 update, and the largest W_k drift
+    seen at a re-anchor."""
     return {
-        "edge": [0, 0],
-        "s": [0, 0],
+        "edge_proposed": 0,
+        "edge_accepted": 0,
+        "s_proposed": 0,
+        "s_accepted": 0,
         "edge_empty_interval": 0,
         "w_refactor_forced": 0,
         "w_drift_max": 0.0,
@@ -524,15 +526,15 @@ def _sweep(st, d, h, cfg, rng, work, counters):
     p = st.p
     for i in range(p):
         for j in range(i + 1, p):
-            update_edge(st, d, h, i, j, rng, work=work, counters=counters,
+            update_edge(st, i, j, rng, work=work, counters=counters,
                         r_proposal=cfg.r_proposal, r_walk_step=cfg.r_walk_step)
     drift = work.reanchor(st)
     if drift > counters["w_drift_max"]:
         counters["w_drift_max"] = drift
     for i in range(p):
-        update_s(st, d, h, i, rng, work=work, counters=counters,
+        update_s(st, h, i, rng, work=work, counters=counters,
                  proposal_sd=cfg.s_proposal_sd)
-    update_mu(st, d, h, rng, work=work)
+    update_mu(st, h, rng, work=work)
     update_q_pi(st, h, rng)
     update_labels(st, d, h, rng, work=work)
 
@@ -555,7 +557,7 @@ def run_chain(d: Dataset, h, cfg: ChainConfig) -> ChainSamples:
     seed yields bit-identical samples.
     """
     rng = np.random.default_rng(cfg.seed)
-    st = init_state(d, h, rng)
+    st = init_state(d, h)
     work = _Workspace(st, d)
     counters = new_counters()
 
@@ -582,22 +584,13 @@ def run_chain(d: Dataset, h, cfg: ChainConfig) -> ChainSamples:
             draws_r[out] = st.r
             draws_s[out] = st.s
             draws_mu[out] = st.mu
-            draws_lam[out] = st.lam
+            draws_lam[out] = st.a[0] != st.a[1]
             draws_z[out] = st.z_u
             out += 1
 
-    acceptance = {}
-    counts = {key: counters[key] for key in
-              ("edge_empty_interval", "w_refactor_forced", "w_drift_max")}
-    for family in ("edge", "s"):
-        accepted, proposed = counters[family]
-        counts[f"{family}_proposed"] = proposed
-        counts[f"{family}_accepted"] = accepted
-        acceptance[family] = accepted / proposed if proposed else 0.0
-
     return ChainSamples(
-        config=cfg, p=p, unknown_rows=d.unknown_rows.copy(),
+        config=cfg, unknown_rows=d.unknown_rows.copy(),
         a=draws_a[:out], r=draws_r[:out], s=draws_s[:out], mu=draws_mu[:out],
         lam=draws_lam[:out], z_u=draws_z[:out],
-        acceptance=acceptance, counts=counts, violations=violations,
+        counts=counters, violations=violations,
     )

@@ -4,9 +4,10 @@ Precision assembly from (s, A, R) factors, partial correlations and the
 single-row multivariate normal log-density. The sampler works on cached
 correlation matrices, their inverses and row-wise densities instead;
 these direct forms serve as oracles for that math and for the synthetic
-truth.
+truth. ``read_network_dot`` parses the DOT files the program writes.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,3 +108,19 @@ def mvn_logpdf(y, mu, omega, log_det):
     resid = y - mu
     quad = float(resid @ omega @ resid)
     return -0.5 * p * np.log(2.0 * np.pi) + 0.5 * log_det - 0.5 * quad
+
+
+def read_network_dot(path):
+    """Parse back the edges written by io.write_network_dot. Returns a
+    list of (name_i, name_j, color, penwidth, ppi) tuples."""
+    pattern = re.compile(
+        r'"(?P<a>[^"]+)" -- "(?P<b>[^"]+)" '
+        r'\[color=(?P<color>\w+), penwidth=(?P<pw>[\d.]+), ppi="(?P<ppi>[^"]+)"\]')
+    out = []
+    with open(path) as fh:
+        for line in fh:
+            match = pattern.search(line)
+            if match:
+                out.append((match["a"], match["b"], match["color"],
+                            float(match["pw"]), float(match["ppi"])))
+    return out

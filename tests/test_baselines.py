@@ -157,8 +157,9 @@ class TestBenchmark:
     def test_unknown_classifier_rejected(self):
         rng = np.random.default_rng(10)
         d = labeled_dataset(rng)
-        with pytest.raises(InputError):
-            benchmark(d, SplitPlan(n_replicates=1), classifiers=("svm",))
+        for classifiers in (("svm",), (), ("lda", "lda")):
+            with pytest.raises(InputError):
+                benchmark(d, SplitPlan(n_replicates=1), classifiers=classifiers)
 
     def test_bgbc_beats_mean_blind_baselines_on_covariance_signal(self):
         # equal means, different precisions: LDA and DLDA are blind here

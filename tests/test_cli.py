@@ -90,9 +90,14 @@ class TestFit:
     def test_networks_rethreshold(self, fit_dir, tmp_path_factory):
         out = tmp_path_factory.mktemp("nets")
         code = run_cli("networks", "--results", fit_dir / "results.npz",
-                       "--out", out, "--alpha", "0.05")
+                       "--out", out, "--alpha", "0.05,0.2")
         assert code == 0
         assert (out / "network_class1_alpha0.05.tsv").exists()
+        # at an alpha fit also used, the files match fit's byte for byte
+        refit = sorted(out.glob("network_*_alpha0.2.*"))
+        assert len(refit) == 8
+        for path in refit:
+            assert path.read_bytes() == (fit_dir / path.name).read_bytes(), path.name
 
     def test_predict_reextracts(self, fit_dir, tmp_path_factory):
         out = tmp_path_factory.mktemp("pred")
@@ -100,6 +105,8 @@ class TestFit:
                        "--out", out)
         assert code == 0
         assert (out / "predictions.tsv").exists()
+        assert ((out / "predictions.tsv").read_bytes()
+                == (fit_dir / "predictions.tsv").read_bytes())
 
 
 class TestFitWithUnknowns:
@@ -196,12 +203,31 @@ class TestConfigFileAndErrors:
         assert "iterations\t250" in text  # from file
         assert "seed\t12" in text         # from flag
 
-    def test_unknown_config_key(self, sim_dir, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        code = run_cli("fit", "--data", sim_dir / "dataset.csv",
-                       "--out", tmp_path / "o", "--config", cfg)
+    def test_unknown_config_key(self, sim_dir, tmp_path, caplog):
+        # an unknown key, and known keys whose values do not parse
+        for name, text in (("bogus", "bogus = 1\n"),
+                           ("iterations", "iterations = 1e3\n"),
+                           ("validate_every", "validate_every = yes\n")):
+            caplog.clear()
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            code = run_cli("fit", "--data", sim_dir / "dataset.csv",
+                           "--out", tmp_path / "o", "--config", cfg)
+            assert code == 2
+            assert str(cfg) in caplog.text and name in caplog.text
+
+    def test_constant_column_exit_2(self, tmp_path, caplog):
+        rng = np.random.default_rng(3)
+        rows = ["g1,g2,g3,label"]
+        for k in range(16):
+            g1 = 3.0 if k < 8 else rng.normal()  # constant over class 'a'
+            rows.append(f"{g1},{rng.normal():.6f},{rng.normal():.6f},{'ab'[k // 8]}")
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(rows) + "\n")
+        code = run_cli("fit", "--data", data, "--out", tmp_path / "o",
+                       "--iterations", 20, "--burn-in", 5)
         assert code == 2
+        assert "'g1'" in caplog.text and "class 1" in caplog.text
 
     def test_missing_file_exit_2(self, tmp_path):
         code = run_cli("fit", "--data", tmp_path / "nope.csv",

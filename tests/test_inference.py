@@ -32,12 +32,12 @@ def make_samples(a, r, s=None, mu=None, z_u=None, unknown_rows=None):
         unknown_rows = np.zeros(0, dtype=int)
     cfg = ChainConfig(iterations=max(m, 1), burn_in=0, thin=1, seed=0)
     return ChainSamples(
-        config=cfg, p=p, unknown_rows=np.asarray(unknown_rows),
+        config=cfg, unknown_rows=np.asarray(unknown_rows),
         a=a, r=r,
         s=np.ones((m, 2, p)) if s is None else np.asarray(s, float),
         mu=np.zeros((m, 2, p)) if mu is None else np.asarray(mu, float),
         lam=lam, z_u=np.asarray(z_u, dtype=np.uint8),
-        acceptance={"edge": 1.0, "s": 1.0}, counts={},
+        counts={},
     )
 
 
@@ -231,7 +231,7 @@ class TestPredictLabels:
 
     def test_tie_goes_to_class1(self):
         summary = self._summary_with_probs([0.5])
-        classes, probs = predict_labels(summary, cut=0.5)
+        classes, probs = predict_labels(summary)
         assert classes[0] == CLASS1 and probs[0] == 0.5
 
     def test_high_probability_class1(self):
@@ -247,7 +247,7 @@ class TestPredictLabels:
         a = eye_stack(101, p).astype(np.uint8)
         r = eye_stack(101, p)
         summary = summarize(make_samples(a, r, z_u=z, unknown_rows=np.arange(7)))
-        classes, _ = predict_labels(summary, cut=0.5)
+        classes, _ = predict_labels(summary)
         majority = np.where((z == CLASS1).sum(axis=0) * 2 >= len(z), CLASS1, CLASS2)
         assert np.array_equal(classes, majority)
 
