@@ -7,7 +7,7 @@ unlabeled samples within the same MCMC run.
 
 __version__ = "0.1.0"
 
-from .errors import InputError, NumericalAbort, PreconditionError, ValidationError
+from .errors import InputError, NumericalAbort, ValidationError
 from .model import (
     CLASS1,
     CLASS2,
@@ -19,7 +19,6 @@ from .model import (
     apply_prior_network,
     center_mean_prior,
     default_hyperparameters,
-    empty_dataset,
     validate_state,
 )
 from .sampler import ChainConfig, ChainSamples, init_state, run_chain
@@ -32,16 +31,16 @@ from .inference import (
     summarize,
 )
 from .baselines import BenchmarkResult, SplitPlan, benchmark
-from .synthetic import TrueModel, generate_model, sample_data, score_recovery
+from .synthetic import TrueModel, generate_model, sample_data
 
 __all__ = [
     "CLASS1", "CLASS2", "UNKNOWN",
     "ChainConfig", "ChainSamples", "ChainState", "Dataset",
     "Hyperparameters", "PriorNetwork", "NetworkCall", "PosteriorSummary",
     "BenchmarkResult", "SplitPlan", "TrueModel",
-    "InputError", "ValidationError", "PreconditionError", "NumericalAbort",
+    "InputError", "ValidationError", "NumericalAbort",
     "apply_prior_network", "benchmark", "call_network", "center_mean_prior",
-    "default_hyperparameters", "empty_dataset", "fdr_threshold",
-    "generate_model", "init_state", "predict_labels", "run_chain",
-    "sample_data", "score_recovery", "summarize", "validate_state",
+    "default_hyperparameters", "fdr_threshold", "generate_model",
+    "init_state", "predict_labels", "run_chain", "sample_data",
+    "summarize", "validate_state",
 ]

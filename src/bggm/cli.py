@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, io
 from .baselines import BENCHMARK_CHAIN, DEFAULT_CLASSIFIERS, SplitPlan, benchmark
-from .errors import InputError, NumericalAbort, PreconditionError, ValidationError
+from .errors import InputError, NumericalAbort
 from .inference import (
     NET_CLASS1,
     NET_CLASS2,
@@ -317,7 +317,7 @@ def main(argv=None):
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
         return args.func(args)
-    except (InputError, ValidationError, PreconditionError, OSError) as exc:
+    except (InputError, OSError) as exc:
         log.error("%s", exc)
         return 2
     except NumericalAbort as exc:

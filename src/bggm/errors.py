@@ -15,11 +15,6 @@ class ValidationError(InputError):
     missing classes, inconsistent state)."""
 
 
-class PreconditionError(ValueError):
-    """An operation was called on a value that fails its mathematical
-    precondition (e.g. a matrix that must be positive definite is not)."""
-
-
 class NumericalAbort(RuntimeError):
     """The sampler reached a numerically invalid state that rejection
     guards could not prevent; carries a diagnostic payload."""

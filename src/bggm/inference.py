@@ -32,10 +32,6 @@ class PosteriorSummary:
     unknown_rows: np.ndarray      # (n_u,) dataset row indices
 
     @property
-    def p(self):
-        return self.ppi_class1.shape[0]
-
-    @property
     def ppi_common(self):
         """1 - ppi_diff off the diagonal, 0 on it."""
         common = 1.0 - self.ppi_diff

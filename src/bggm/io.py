@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputError, ValidationError
-from .inference import NET_DIFFERENTIAL, NetworkCall, PosteriorSummary
+from .inference import NET_DIFFERENTIAL, NetworkCall, PosteriorSummary, predict_labels
 from .model import CLASS1, CLASS2, UNKNOWN, Dataset, PriorNetwork
 from .sampler import ChainSamples
 
@@ -180,9 +180,10 @@ def write_predictions_tsv(path, summary: PosteriorSummary, class_names, header):
     with open(path, "w") as fh:
         fh.write(header + "\n")
         fh.write("row\tclass1_probability\tpredicted\n")
-        for row, prob in zip(summary.unknown_rows, summary.class1_probability):
-            cls = CLASS1 if prob >= 0.5 else CLASS2
-            fh.write(f"{int(row)}\t{_fmt(prob)}\t{names[cls]}\n")
+        if summary.unknown_rows.size:
+            classes, probs = predict_labels(summary)
+            for row, prob, cls in zip(summary.unknown_rows, probs, classes):
+                fh.write(f"{int(row)}\t{_fmt(prob)}\t{names[cls]}\n")
 
 
 def write_chain_summary_tsv(path, samples: ChainSamples, header):
@@ -252,7 +253,6 @@ def save_results(path, samples: ChainSamples, summary: PosteriorSummary, meta):
     meta_full["format_version"] = RESULTS_FORMAT_VERSION
     meta_full["tool_version"] = __version__
     meta_full["chain_config"] = asdict(samples.config)
-    meta_full["acceptance"] = samples.acceptance
     meta_full["counts"] = samples.counts
     meta_full["n_violations"] = len(samples.violations)
     np.savez_compressed(

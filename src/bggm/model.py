@@ -97,12 +97,6 @@ class Dataset:
                 )
 
 
-def empty_dataset(p):
-    """Dataset with no rows, used to sample from the prior."""
-    names = tuple(f"V{i + 1}" for i in range(p))
-    return Dataset(np.zeros((0, p)), np.zeros(0, dtype=int), names)
-
-
 @dataclass(frozen=True)
 class Hyperparameters:
     """All fixed prior parameters of the hierarchical model.

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 
 # A matrix counts as PD iff every Cholesky pivot exceeds this. Strictly
 # positive so that near-singular proposals are treated as invalid.
@@ -80,28 +80,6 @@ def det_ratio(up_gap, down_gap, delta):
     """f(delta) of ``entry_kernel``: the factor by which moving the entry
     by ``delta`` multiplies det C. Not positive outside the interval."""
     return (1.0 - delta * up_gap) * (1.0 + delta * down_gap)
-
-
-def admissible_interval(c, i, j):
-    """Open interval of values for entry (i, j) of ``c`` preserving PD.
-
-    Returns the maximal open interval (u, v) within (-1, 1) such that
-    replacing c[i, j] (and c[j, i]) by any x in (u, v) keeps the matrix
-    positive definite: the root pair of the determinant-lemma quadratic
-    of ``entry_kernel``, evaluated from the inverse of ``c``.
-    """
-    c = _check_square_symmetric(c, "correlation matrix")
-    if i == j:
-        raise InputError("admissible_interval requires an off-diagonal entry")
-    p = c.shape[0]
-    if not (0 <= i < p and 0 <= j < p):
-        raise InputError(f"indices ({i}, {j}) out of range for dim {p}")
-    if not is_positive_definite(c):
-        raise PreconditionError(
-            "matrix must be positive definite at its current entry value"
-        )
-    lower, upper, _, _ = entry_kernel(np.linalg.inv(c), i, j, float(c[i, j]))
-    return lower, upper
 
 
 def hadamard_correlation(a, r):

@@ -86,7 +86,6 @@ class ChainSamples:
     r: np.ndarray     # (M, 2, p, p) float
     s: np.ndarray     # (M, 2, p) float
     mu: np.ndarray    # (M, 2, p) float
-    lam: np.ndarray   # (M, p, p) uint8
     z_u: np.ndarray   # (M, n_u) uint8
     counts: dict
     violations: list = field(default_factory=list)
@@ -94,6 +93,11 @@ class ChainSamples:
     @property
     def n_draws(self):
         return self.a.shape[0]
+
+    @property
+    def lam(self):
+        """(M, p, p) uint8 differential indicators, a1 XOR a2 per draw."""
+        return (self.a[:, 0] != self.a[:, 1]).astype(np.uint8)
 
     @property
     def acceptance(self):
@@ -293,8 +297,7 @@ class _Workspace:
         return 2.0 * float(np.sum(np.log(st.s[k]))) + float(self.logdet_c[k])
 
 
-def update_edge(st, i, j, rng, work, counters,
-                r_proposal=R_PROPOSAL_PRIOR, r_walk_step=0.2):
+def update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step):
     """Joint update of (a1, a2, r1, r2) at edge (i, j).
 
     A candidate (a1*, a2*) cell is drawn with probability proportional to
@@ -412,7 +415,7 @@ def update_edge(st, i, j, rng, work, counters,
     return st
 
 
-def update_s(st, h, i, rng, work, counters, proposal_sd=0.3):
+def update_s(st, h, i, rng, work, counters, proposal_sd):
     """Metropolis random walk on log S_i, both classes independently.
 
     Target is the Gaussian likelihood times the inverse-gamma(shape,
@@ -568,7 +571,6 @@ def run_chain(d: Dataset, h, cfg: ChainConfig) -> ChainSamples:
     draws_r = np.zeros((m, 2, p, p))
     draws_s = np.zeros((m, 2, p))
     draws_mu = np.zeros((m, 2, p))
-    draws_lam = np.zeros((m, p, p), dtype=np.uint8)
     draws_z = np.zeros((m, n_u), dtype=np.uint8)
     violations = []
 
@@ -584,13 +586,12 @@ def run_chain(d: Dataset, h, cfg: ChainConfig) -> ChainSamples:
             draws_r[out] = st.r
             draws_s[out] = st.s
             draws_mu[out] = st.mu
-            draws_lam[out] = st.a[0] != st.a[1]
             draws_z[out] = st.z_u
             out += 1
 
     return ChainSamples(
         config=cfg, unknown_rows=d.unknown_rows.copy(),
         a=draws_a[:out], r=draws_r[:out], s=draws_s[:out], mu=draws_mu[:out],
-        lam=draws_lam[:out], z_u=draws_z[:out],
+        z_u=draws_z[:out],
         counts=counters, violations=violations,
     )

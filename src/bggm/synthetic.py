@@ -1,20 +1,11 @@
 """Ground-truth generator for two-class sparse Gaussian graphical data
-with controlled conserved/differential structure, plus recovery scoring
-against that truth."""
+with controlled conserved/differential structure."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .inference import (
-    NET_CLASS1,
-    NET_CLASS2,
-    NET_CONSERVED,
-    NET_DIFFERENTIAL,
-    NetworkCall,
-    PosteriorSummary,
-)
 from .model import CLASS1, CLASS2, Dataset
 from .pdcore import is_positive_definite
 
@@ -36,11 +27,6 @@ class TrueModel:
     mean: np.ndarray            # (2, p)
     omega: np.ndarray           # (2, p, p)
     edge_labels: dict           # {(i, j): label} for i < j
-
-    def differential_truth(self):
-        lam = (self.adjacency[0] != self.adjacency[1]).astype(np.int8)
-        np.fill_diagonal(lam, 0)
-        return lam
 
 
 def generate_model(p, n_conserved, n_diff, corr_range, seed,
@@ -138,74 +124,3 @@ def sample_data(m: TrueModel, n1, n2, seed) -> Dataset:
     y = np.vstack(blocks)
     names = tuple(f"V{i + 1}" for i in range(m.p))
     return Dataset(y, np.array(labels), names)
-
-
-def _rank_auc(scores, truth):
-    """Mann-Whitney AUC of ``scores`` against a binary ``truth`` vector,
-    with average ranks under ties."""
-    scores = np.asarray(scores, dtype=float)
-    truth = np.asarray(truth, dtype=bool)
-    n_pos = int(truth.sum())
-    n_neg = truth.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = ranks[truth].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def _upper(mat):
-    p = mat.shape[0]
-    iu = np.triu_indices(p, 1)
-    return np.asarray(mat)[iu]
-
-
-def score_recovery(m: TrueModel, result):
-    """Recovery metrics against the generating truth.
-
-    Given a PosteriorSummary: edge-ranking AUCs per class and for the
-    differential indicators. Given a NetworkCall: realized false
-    discovery proportion and sensitivity of that call against the
-    matching truth.
-    """
-    lam_truth = m.differential_truth()
-    if isinstance(result, PosteriorSummary):
-        if result.p != m.p:
-            raise InputError("dimension mismatch between model and summary")
-        truths = {
-            "auc_class1": (result.ppi_class1, m.adjacency[0]),
-            "auc_class2": (result.ppi_class2, m.adjacency[1]),
-            "auc_diff": (result.ppi_diff, lam_truth),
-        }
-        out = {}
-        for key, (ppi, truth) in truths.items():
-            t = _upper(truth) > 0
-            out[key] = _rank_auc(_upper(ppi), t)
-        return out
-
-    if isinstance(result, NetworkCall):
-        truth_mat = {
-            NET_CLASS1: m.adjacency[0],
-            NET_CLASS2: m.adjacency[1],
-            NET_DIFFERENTIAL: lam_truth,
-            NET_CONSERVED: 1 - lam_truth,
-        }[result.which]
-        called = {(e.i, e.j) for e in result.edges}
-        iu_pairs = [(i, j) for i in range(m.p) for j in range(i + 1, m.p)]
-        true_set = {pair for pair in iu_pairs if truth_mat[pair] > 0}
-        n_called = len(called)
-        false_pos = len(called - true_set)
-        fdp = false_pos / n_called if n_called else 0.0
-        sens = len(called & true_set) / len(true_set) if true_set else float("nan")
-        return {"called": n_called, "fdp": fdp, "sensitivity": sens}
-
-    raise InputError("result must be a PosteriorSummary or NetworkCall")

@@ -1,24 +1,72 @@
 """Reference implementations the tests check production code against.
 
-Precision assembly from (s, A, R) factors, partial correlations and the
-single-row multivariate normal log-density. The sampler works on cached
-correlation matrices, their inverses and row-wise densities instead;
-these direct forms serve as oracles for that math and for the synthetic
-truth. ``read_network_dot`` parses the DOT files the program writes.
+Precision assembly from (s, A, R) factors, partial correlations, the
+single-row multivariate normal log-density and the admissible interval
+of one correlation entry. The sampler works on cached correlation
+matrices, their inverses and row-wise densities instead; these direct
+forms serve as oracles for that math and for the synthetic truth.
+``GaussianNBReference`` scores the naive Bayes rule with scipy's normal
+log-density, ``score_recovery`` scores a fit against the generating
+truth, and ``read_network_dot`` parses the DOT files the program writes.
 """
 
 import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.stats import norm
 
-from bggm.errors import InputError, PreconditionError
+from bggm.baselines import _log_priors, _split_by_class
+from bggm.errors import InputError
+from bggm.inference import (
+    NET_CLASS1,
+    NET_CLASS2,
+    NET_CONSERVED,
+    NET_DIFFERENTIAL,
+    NetworkCall,
+    PosteriorSummary,
+)
+from bggm.model import CLASS1, CLASS2, Dataset
 from bggm.pdcore import (
     PD_PIVOT_TOL,
     _check_square_symmetric,
+    entry_kernel,
     hadamard_correlation,
     is_positive_definite,
 )
+
+
+class PreconditionError(ValueError):
+    """An oracle was called on a value that fails its mathematical
+    precondition (e.g. a matrix that must be positive definite is not)."""
+
+
+def empty_dataset(p):
+    """Dataset with no rows, used to sample from the prior."""
+    names = tuple(f"V{i + 1}" for i in range(p))
+    return Dataset(np.zeros((0, p)), np.zeros(0, dtype=int), names)
+
+
+def admissible_interval(c, i, j):
+    """Open interval of values for entry (i, j) of ``c`` preserving PD.
+
+    Returns the maximal open interval (u, v) within (-1, 1) such that
+    replacing c[i, j] (and c[j, i]) by any x in (u, v) keeps the matrix
+    positive definite: the root pair of the determinant-lemma quadratic
+    of ``entry_kernel``, evaluated from the inverse of ``c``.
+    """
+    c = _check_square_symmetric(c, "correlation matrix")
+    if i == j:
+        raise InputError("admissible_interval requires an off-diagonal entry")
+    p = c.shape[0]
+    if not (0 <= i < p and 0 <= j < p):
+        raise InputError(f"indices ({i}, {j}) out of range for dim {p}")
+    if not is_positive_definite(c):
+        raise PreconditionError(
+            "matrix must be positive definite at its current entry value"
+        )
+    lower, upper, _, _ = entry_kernel(np.linalg.inv(c), i, j, float(c[i, j]))
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -124,3 +172,108 @@ def read_network_dot(path):
                 out.append((match["a"], match["b"], match["color"],
                             float(match["pw"]), float(match["ppi"])))
     return out
+
+
+class GaussianNBReference:
+    """Naive Bayes with per-class independent Gaussians, scored with
+    scipy's normal log-density: an independent implementation of the
+    DQDA rule that ``baselines.GaussianNB`` and ``baselines.DQDA`` run."""
+
+    def fit(self, y, labels):
+        groups = _split_by_class(np.asarray(y, float), np.asarray(labels))
+        self.params = {}
+        for cls, block in groups.items():
+            dof = max(len(block) - 1, 1)
+            sd = np.sqrt(np.maximum(
+                ((block - block.mean(axis=0)) ** 2).sum(axis=0) / dof, 1e-12))
+            self.params[cls] = (block.mean(axis=0), sd)
+        self.log_prior = _log_priors(labels)
+        return self
+
+    def _score(self, y, cls):
+        mean, sd = self.params[cls]
+        return norm.logpdf(y, loc=mean, scale=sd).sum(axis=1) + self.log_prior[cls]
+
+    def classify(self, y):
+        y = np.asarray(y, float)
+        return np.where(self._score(y, CLASS1) >= self._score(y, CLASS2),
+                        CLASS1, CLASS2)
+
+
+def differential_truth(m):
+    """The true differential indicators of a ``synthetic.TrueModel``:
+    a1 XOR a2 with a zero diagonal."""
+    lam = (m.adjacency[0] != m.adjacency[1]).astype(np.int8)
+    np.fill_diagonal(lam, 0)
+    return lam
+
+
+def _rank_auc(scores, truth):
+    """Mann-Whitney AUC of ``scores`` against a binary ``truth`` vector,
+    with average ranks under ties."""
+    scores = np.asarray(scores, dtype=float)
+    truth = np.asarray(truth, dtype=bool)
+    n_pos = int(truth.sum())
+    n_neg = truth.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = ranks[truth].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _upper(mat):
+    p = mat.shape[0]
+    iu = np.triu_indices(p, 1)
+    return np.asarray(mat)[iu]
+
+
+def score_recovery(m, result):
+    """Recovery metrics against the generating truth ``m``.
+
+    Given a PosteriorSummary: edge-ranking AUCs per class and for the
+    differential indicators. Given a NetworkCall: realized false
+    discovery proportion and sensitivity of that call against the
+    matching truth.
+    """
+    lam_truth = differential_truth(m)
+    if isinstance(result, PosteriorSummary):
+        if result.ppi_class1.shape[0] != m.p:
+            raise InputError("dimension mismatch between model and summary")
+        truths = {
+            "auc_class1": (result.ppi_class1, m.adjacency[0]),
+            "auc_class2": (result.ppi_class2, m.adjacency[1]),
+            "auc_diff": (result.ppi_diff, lam_truth),
+        }
+        out = {}
+        for key, (ppi, truth) in truths.items():
+            t = _upper(truth) > 0
+            out[key] = _rank_auc(_upper(ppi), t)
+        return out
+
+    if isinstance(result, NetworkCall):
+        truth_mat = {
+            NET_CLASS1: m.adjacency[0],
+            NET_CLASS2: m.adjacency[1],
+            NET_DIFFERENTIAL: lam_truth,
+            NET_CONSERVED: 1 - lam_truth,
+        }[result.which]
+        called = {(e.i, e.j) for e in result.edges}
+        iu_pairs = [(i, j) for i in range(m.p) for j in range(i + 1, m.p)]
+        true_set = {pair for pair in iu_pairs if truth_mat[pair] > 0}
+        n_called = len(called)
+        false_pos = len(called - true_set)
+        fdp = false_pos / n_called if n_called else 0.0
+        sens = len(called & true_set) / len(true_set) if true_set else float("nan")
+        return {"called": n_called, "fdp": fdp, "sensitivity": sens}
+
+    raise InputError("result must be a PosteriorSummary or NetworkCall")

@@ -28,12 +28,11 @@ from bggm.model import (
     Hyperparameters,
     center_mean_prior,
     default_hyperparameters,
-    empty_dataset,
 )
-from bggm.pdcore import admissible_interval
 from bggm.sampler import ChainConfig, _Workspace, init_state, run_chain, update_mu
-from bggm.synthetic import generate_model, sample_data, score_recovery
+from bggm.synthetic import generate_model, sample_data
 
+from oracles import admissible_interval, empty_dataset, score_recovery
 from test_pdcore import grid_pd_mask, random_correlation
 
 # Violation counts from every chain the suite runs; criterion 8 asserts

@@ -17,6 +17,8 @@ from bggm.model import CLASS1, CLASS2, Dataset
 from bggm.sampler import ChainConfig
 from bggm.synthetic import generate_model, sample_data
 
+from oracles import GaussianNBReference
+
 
 def labeled_dataset(rng, p=3, n_per=20, sep=2.0):
     y = np.vstack([
@@ -83,6 +85,9 @@ class TestClassifierBasics:
         test = rng.standard_normal((50, 4))
         nb = GaussianNB().fit(d.y, d.labels).classify(test)
         dqda = DQDA().fit(d.y, d.labels).classify(test)
+        reference = GaussianNBReference().fit(d.y, d.labels).classify(test)
+        assert np.array_equal(nb, reference)
+        assert np.array_equal(dqda, reference)
         assert np.array_equal(nb, dqda)
 
     def test_training_order_invariance(self):

@@ -1,13 +1,30 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bggm
 from bggm.cli import main
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def test_startup_does_not_import_scipy_stats():
+    # importing scipy.stats more than doubles the start-up time of every
+    # command, and no production module needs it
+    src = str(Path(bggm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, bggm, bggm.cli; "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -24,9 +24,6 @@ def make_samples(a, r, s=None, mu=None, z_u=None, unknown_rows=None):
     a = np.asarray(a, dtype=np.uint8)
     r = np.asarray(r, dtype=float)
     m, _, p, _ = a.shape
-    lam = (a[:, 0] != a[:, 1]).astype(np.uint8)
-    for mat in lam:
-        np.fill_diagonal(mat, 0)
     if z_u is None:
         z_u = np.zeros((m, 0), dtype=np.uint8)
         unknown_rows = np.zeros(0, dtype=int)
@@ -36,7 +33,7 @@ def make_samples(a, r, s=None, mu=None, z_u=None, unknown_rows=None):
         a=a, r=r,
         s=np.ones((m, 2, p)) if s is None else np.asarray(s, float),
         mu=np.zeros((m, 2, p)) if mu is None else np.asarray(mu, float),
-        lam=lam, z_u=np.asarray(z_u, dtype=np.uint8),
+        z_u=np.asarray(z_u, dtype=np.uint8),
         counts={},
     )
 

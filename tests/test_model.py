@@ -12,10 +12,11 @@ from bggm.model import (
     apply_prior_network,
     center_mean_prior,
     default_hyperparameters,
-    empty_dataset,
     validate_state,
 )
 from bggm.sampler import init_state
+
+from oracles import empty_dataset
 
 
 def small_dataset(rng=None, n_per=4, p=3, unknown=0):

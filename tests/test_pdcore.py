@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from bggm.errors import InputError, PreconditionError
+from bggm.errors import InputError
 from bggm.pdcore import (
-    admissible_interval,
     det_ratio,
     entry_kernel,
     hadamard_correlation,
@@ -11,7 +10,9 @@ from bggm.pdcore import (
     mvn_logpdf_rows,
 )
 from oracles import (
+    PreconditionError,
     PrecisionFactors,
+    admissible_interval,
     assemble_precision,
     mvn_logpdf,
     partial_correlations,

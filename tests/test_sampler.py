@@ -9,7 +9,6 @@ from bggm.model import (
     Dataset,
     Hyperparameters,
     default_hyperparameters,
-    empty_dataset,
     validate_state,
 )
 from bggm.pdcore import det_ratio, entry_kernel, hadamard_correlation
@@ -28,7 +27,7 @@ from bggm.sampler import (
     update_q_pi,
     update_s,
 )
-from oracles import mvn_logpdf
+from oracles import empty_dataset, mvn_logpdf
 from test_pdcore import near_singular_correlation, random_correlation
 
 
@@ -198,7 +197,8 @@ class TestUpdateEdge:
         hits = np.zeros(3)
         sweeps = 20000
         for _ in range(sweeps):
-            update_edge(st, 0, 1, gen, work, new_counters())
+            update_edge(st, 0, 1, gen, work, new_counters(),
+                        r_proposal="prior", r_walk_step=0.2)
             update_q_pi(st, h, gen)
             hits += (st.a[0, 0, 1], st.a[1, 0, 1], st.a[0, 0, 1] ^ st.a[1, 0, 1])
         got = hits / sweeps
@@ -214,7 +214,8 @@ class TestUpdateEdge:
         gen = np.random.default_rng(19)
         work = _Workspace(st, d)
         for _ in range(50):
-            update_edge(st, 0, 1, gen, work, new_counters())
+            update_edge(st, 0, 1, gen, work, new_counters(),
+                        r_proposal="prior", r_walk_step=0.2)
             assert st.a[0, 0, 1] == 1 and st.a[1, 0, 1] == 1
 
     def test_strong_signal_recovered(self):
@@ -239,7 +240,8 @@ class TestUpdateEdge:
         st = init_state(d, h)
         with pytest.raises(InputError):
             update_edge(st, 2, 1, np.random.default_rng(0),
-                        _Workspace(st, d), new_counters())
+                        _Workspace(st, d), new_counters(),
+                        r_proposal="prior", r_walk_step=0.2)
 
 
 def workspace_on(corrs):
@@ -323,7 +325,8 @@ class TestWorkspaceRank2Update:
         for _ in range(200):
             before = work.c[:, 0, 1].copy()
             logdet_before = np.array([np.linalg.slogdet(c)[1] for c in work.c])
-            update_edge(st, 0, 1, gen, work, counters)
+            update_edge(st, 0, 1, gen, work, counters,
+                        r_proposal="prior", r_walk_step=0.2)
             fresh = _Workspace(st, d)
             for k in range(2):
                 if work.c[k, 0, 1] == before[k]:

@@ -11,11 +11,9 @@ from bggm.synthetic import (
     EDGE_NULL,
     generate_model,
     sample_data,
-    score_recovery,
-    _rank_auc,
 )
 from bggm.inference import NET_CLASS1, NetworkCall, EdgeCall
-from oracles import partial_correlations
+from oracles import _rank_auc, differential_truth, partial_correlations, score_recovery
 
 
 class TestGenerateModel:
@@ -33,7 +31,7 @@ class TestGenerateModel:
 
     def test_label_consistency(self):
         m = generate_model(8, 5, 4, (0.4, 0.7), seed=3)
-        lam = m.differential_truth()
+        lam = differential_truth(m)
         for (i, j), label in m.edge_labels.items():
             in1 = m.adjacency[0, i, j] == 1
             in2 = m.adjacency[1, i, j] == 1
