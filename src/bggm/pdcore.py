@@ -1,17 +1,16 @@
 """Positive-definiteness kernel.
 
 Deterministic linear algebra the sampler and the model checks use:
-Cholesky-based PD tests, the closed-form edge kernel (from the inverse of
-a correlation matrix, the interval of values one entry can take while the
-matrix stays positive definite and the determinant ratio of moving it,
-both by the matrix determinant lemma), the effective correlation matrix
-A o R, and the row-wise multivariate normal log-density in precision
-form.
+Cholesky-based PD tests, the effective correlation matrix A o R, and the
+row-wise multivariate normal log-density in precision form. The
+closed-form edge kernel (the interval of values one correlation entry can
+take while the matrix stays positive definite, and the determinant ratio
+of moving it, both from the matrix's inverse by the matrix determinant
+lemma) is evaluated inline in ``sampler.update_edge``; its reference
+form is ``entry_kernel``/``det_ratio`` in ``tests/oracles.py``.
 
 All functions are pure and safe to call concurrently.
 """
-
-import math
 
 import numpy as np
 
@@ -47,39 +46,6 @@ def is_positive_definite(m):
         return False
     piv = np.diagonal(chol)
     return bool(np.all(piv * piv > PD_PIVOT_TOL))
-
-
-def entry_kernel(w, i, j, x0):
-    """Closed-form effect of changing one entry pair of a PD correlation
-    matrix C, given its inverse ``w`` = C^-1.
-
-    Moving c[i, j] (and c[j, i]) from its current value ``x0`` by delta
-    multiplies det C by (matrix determinant lemma)
-
-        f(delta) = (1 + delta w_ij)^2 - delta^2 w_ii w_jj
-                 = (1 - delta up_gap) (1 + delta down_gap),
-
-    with up_gap = sqrt(w_ii w_jj) - w_ij and down_gap = sqrt(w_ii w_jj)
-    + w_ij, a downward quadratic with f(0) = 1. Its roots x0 + 1 / up_gap
-    and x0 - 1 / down_gap bound the values that keep C positive definite.
-
-    Reads the three entries of ``w`` once and returns ``(lower, upper,
-    up_gap, down_gap)``: that interval clipped to [-1, 1], and the two
-    factors ``det_ratio`` takes.
-    """
-    w_ij = w.item(i, j)
-    root = math.sqrt(w.item(i, i) * w.item(j, j))
-    up_gap = root - w_ij
-    down_gap = root + w_ij
-    lower = max(x0 - 1.0 / down_gap, -1.0)
-    upper = min(x0 + 1.0 / up_gap, 1.0)
-    return lower, upper, up_gap, down_gap
-
-
-def det_ratio(up_gap, down_gap, delta):
-    """f(delta) of ``entry_kernel``: the factor by which moving the entry
-    by ``delta`` multiplies det C. Not positive outside the interval."""
-    return (1.0 - delta * up_gap) * (1.0 + delta * down_gap)
 
 
 def hadamard_correlation(a, r):

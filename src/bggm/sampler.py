@@ -20,13 +20,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import InputError, NumericalAbort, ValidationError
 from .model import CLASS1, CLASS2, ChainState, Dataset, validate_state
-from .pdcore import (
-    det_ratio,
-    entry_kernel,
-    hadamard_correlation,
-    is_positive_definite,
-    mvn_logpdf_rows,
-)
+from .pdcore import hadamard_correlation, is_positive_definite, mvn_logpdf_rows
 
 # Safety margin stripped from each admissible-interval endpoint before any
 # value is sampled, keeping proposals away from the singular boundary.
@@ -211,11 +205,15 @@ class _Workspace:
     W_k is what the edge kernel reads: by the matrix determinant lemma,
     moving entry (i, j) of C_k by delta multiplies det C_k by
     (1 + delta w_ij)^2 - delta^2 w_ii w_jj, so the admissible interval
-    and the log-determinant change of a proposal cost O(1). An accepted
-    move updates C_k, its log-determinant and W_k in O(p^2) through
-    ``move_entry``; ``refresh_c`` recomputes all three from a Cholesky
-    factor in O(p^3), and ``reanchor`` does so for both classes once per
-    sweep so that round-off in W_k cannot accumulate."""
+    and the log-determinant change of a proposal cost O(1).
+    ``update_edge`` evaluates that kernel inline from three entries of W_k
+    per class; ``tests/oracles.py`` keeps it as the functions
+    ``entry_kernel`` and ``det_ratio``, the reference the inline form is
+    tested against. An accepted move updates C_k, its log-determinant and
+    W_k in O(p^2) through ``move_entry``; ``refresh_c`` recomputes all
+    three from a Cholesky factor in O(p^3), and ``reanchor`` does so for
+    both classes once per sweep so that round-off in W_k cannot
+    accumulate."""
 
     def __init__(self, st, d):
         self.d = d
@@ -240,9 +238,9 @@ class _Workspace:
 
     def move_entry(self, k, i, j, x, ratio):
         """Set C_k[i, j] = C_k[j, i] = ``x``, where ``ratio`` is the
-        determinant ratio of the move (``det_ratio``), and update W_k by
-        Sherman-Morrison-Woodbury: with delta the change of the entry and
-        X = W_k[:, (i, j)],
+        determinant ratio of the move (as ``update_edge`` computes it),
+        and update W_k by Sherman-Morrison-Woodbury: with delta the
+        change of the entry and X = W_k[:, (i, j)],
 
             W_k <- W_k - X K X',  K = (delta / ratio)
                   [[-delta w_jj, 1 + delta w_ij], [1 + delta w_ij, -delta w_ii]],
@@ -309,22 +307,55 @@ def update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step):
     the interval as dormant bookkeeping. The joint move is accepted on the
     two-class Gaussian likelihood ratio alone; with prior-uniform
     proposals the prior and proposal factors cancel exactly.
+
+    The kernel is evaluated inline on Python floats, class 1 and class 2
+    written out in turn: by the matrix determinant lemma, moving entry
+    (i, j) of C_k by delta multiplies det C_k by
+
+        (1 + delta w_ij)^2 - delta^2 w_ii w_jj = (1 - delta up) (1 + delta down),
+
+    with W_k = C_k^-1, up = sqrt(w_ii w_jj) - w_ij and down = sqrt(w_ii
+    w_jj) + w_ij. Its roots x + 1 / up and x - 1 / down around the current
+    entry x bound the values that keep C_k positive definite.
     """
     if not i < j:
         raise InputError("update_edge requires i < j")
     counters["edge_proposed"] += 1
 
-    c_old = (work.c.item(0, i, j), work.c.item(1, i, j))
-    intervals = []
-    gaps = []
-    for k in range(2):
-        u, v, up_gap, down_gap = entry_kernel(work.w[k], i, j, c_old[k])
-        u, v = u + INTERVAL_SHRINK, v - INTERVAL_SHRINK
-        if not (u < v):
-            counters["edge_empty_interval"] += 1
-            return st
-        intervals.append((u, v))
-        gaps.append((up_gap, down_gap))
+    c = work.c.item
+    w = work.w.item
+    old1 = c(0, i, j)
+    w_ij = w(0, i, j)
+    root = math.sqrt(w(0, i, i) * w(0, j, j))
+    up1 = root - w_ij
+    down1 = root + w_ij
+    u1 = old1 - 1.0 / down1
+    if u1 < -1.0:
+        u1 = -1.0
+    v1 = old1 + 1.0 / up1
+    if v1 > 1.0:
+        v1 = 1.0
+    u1 += INTERVAL_SHRINK
+    v1 -= INTERVAL_SHRINK
+    if not u1 < v1:
+        counters["edge_empty_interval"] += 1
+        return st
+    old2 = c(1, i, j)
+    w_ij = w(1, i, j)
+    root = math.sqrt(w(1, i, i) * w(1, j, j))
+    up2 = root - w_ij
+    down2 = root + w_ij
+    u2 = old2 - 1.0 / down2
+    if u2 < -1.0:
+        u2 = -1.0
+    v2 = old2 + 1.0 / up2
+    if v2 > 1.0:
+        v2 = 1.0
+    u2 += INTERVAL_SHRINK
+    v2 -= INTERVAL_SHRINK
+    if not u2 < v2:
+        counters["edge_empty_interval"] += 1
+        return st
 
     q1 = st.q.item(0, i, j)
     q2 = st.q.item(1, i, j)
@@ -333,84 +364,96 @@ def update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step):
     # feasible only if zeroing the entry keeps that class PD (0 inside the
     # interval). Feasibility depends only on the other entries, so the
     # mask is identical for forward and reverse moves.
-    zero_ok = (intervals[0][0] < 0.0 < intervals[0][1],
-               intervals[1][0] < 0.0 < intervals[1][1])
-    cells = ((0, 0), (1, 0), (0, 1), (1, 1))
-    feasible = []
-    weights = []
-    total = 0.0
-    for a1c, a2c in cells:
-        ok = (a1c or zero_ok[0]) and (a2c or zero_ok[1])
-        wt = ((q1 if a1c else 1.0 - q1)
-              * (q2 if a2c else 1.0 - q2)
-              * (pi if a1c ^ a2c else 1.0 - pi)) if ok else 0.0
-        feasible.append(ok)
-        weights.append(wt)
-        total += wt
+    zero_ok1 = u1 < 0.0 < v1
+    zero_ok2 = u2 < 0.0 < v2
+    w00 = (1.0 - q1) * (1.0 - q2) * (1.0 - pi) if zero_ok1 and zero_ok2 else 0.0
+    w10 = q1 * (1.0 - q2) * pi if zero_ok2 else 0.0
+    w01 = (1.0 - q1) * q2 * pi if zero_ok1 else 0.0
+    w11 = q1 * q2 * (1.0 - pi)
+    total = w00 + w10 + w01 + w11
     if total <= 0.0:
         counters["edge_empty_interval"] += 1
         return st
 
-    # inverse-CDF draw over the four cells (Generator.choice is slow)
+    # inverse-CDF draw over the cells in the order (0, 0), (1, 0), (0, 1),
+    # (1, 1) (Generator.choice is slow)
     target = rng.random() * total
-    acc = 0.0
-    cell_idx = 3
-    for idx in range(4):
-        acc += weights[idx]
-        if target < acc:
-            cell_idx = idx
-            break
-    a_new = cells[cell_idx]
-    a_cur = (st.a.item(0, i, j), st.a.item(1, i, j))
-    if not feasible[cells.index(a_cur)]:
+    if target < w00:
+        a1, a2 = 0, 0
+    elif target < w00 + w10:
+        a1, a2 = 1, 0
+    elif target < w00 + w10 + w01:
+        a1, a2 = 0, 1
+    else:
+        a1, a2 = 1, 1
+    if not ((st.a.item(0, i, j) or zero_ok1) and (st.a.item(1, i, j) or zero_ok2)):
         # The reverse proposal cannot reach the current cell; reject.
         return st
 
-    r_new = [0.0, 0.0]
+    # active candidates walk from the stored value; for an edge coming in
+    # from a = 0 that value is the dormant bookkeeping entry (seeded from
+    # the empirical partial correlations). u + (v - u) * rng.random() is
+    # the draw rng.uniform(u, v) makes, at a third of its call cost.
+    walk = r_proposal == R_PROPOSAL_WALK
     walk_reject = False
-    for k in range(2):
-        u, v = intervals[k]
-        if a_new[k] == 1 and r_proposal == R_PROPOSAL_WALK:
-            # active candidates walk from the stored value; for an edge
-            # coming in from a = 0 that value is the dormant bookkeeping
-            # entry (seeded from the empirical partial correlations)
-            cand = st.r.item(k, i, j) + r_walk_step * rng.standard_normal()
-            if not (u < cand < v):
-                walk_reject = True
-            r_new[k] = cand
-        else:
-            # the draw rng.uniform(u, v) makes, at a third of its call cost
-            r_new[k] = u + (v - u) * rng.random()
+    if a1 and walk:
+        r1 = st.r.item(0, i, j) + r_walk_step * rng.standard_normal()
+        walk_reject = not u1 < r1 < v1
+    else:
+        r1 = u1 + (v1 - u1) * rng.random()
+    if a2 and walk:
+        r2 = st.r.item(1, i, j) + r_walk_step * rng.standard_normal()
+        walk_reject = walk_reject or not u2 < r2 < v2
+    else:
+        r2 = u2 + (v2 - u2) * rng.random()
     if walk_reject:
         return st
 
+    # a ratio of 0.0 marks a class whose entry does not change; a changed
+    # entry's ratio is positive
     delta_ll = 0.0
-    changed = []
-    for k in range(2):
-        c_new = float(a_new[k]) * r_new[k]
-        if c_new == c_old[k]:
-            continue
-        delta = c_new - c_old[k]
-        ratio = det_ratio(gaps[k][0], gaps[k][1], delta)
-        if not ratio > 0.0:
+    new1 = a1 * r1
+    ratio1 = 0.0
+    if new1 != old1:
+        delta = new1 - old1
+        ratio1 = (1.0 - delta * up1) * (1.0 + delta * down1)
+        if not ratio1 > 0.0:
             return st
-        changed.append((k, c_new, ratio))
-        delta_ll += 0.5 * work.n_k[k] * math.log(ratio)
-        delta_ll -= (st.s.item(k, i) * st.s.item(k, j) * delta
-                     * work.scatter.item(k, i, j))
+        delta_ll += 0.5 * work.n_k[0] * math.log(ratio1)
+        delta_ll -= (st.s.item(0, i) * st.s.item(0, j) * delta
+                     * work.scatter.item(0, i, j))
+    new2 = a2 * r2
+    ratio2 = 0.0
+    if new2 != old2:
+        delta = new2 - old2
+        ratio2 = (1.0 - delta * up2) * (1.0 + delta * down2)
+        if not ratio2 > 0.0:
+            return st
+        delta_ll += 0.5 * work.n_k[1] * math.log(ratio2)
+        delta_ll -= (st.s.item(1, i) * st.s.item(1, j) * delta
+                     * work.scatter.item(1, i, j))
 
     if not math.isfinite(delta_ll):
         return st
-    if math.log(rng.random()) < delta_ll:
-        for k in range(2):
-            st.a[k, i, j] = st.a[k, j, i] = a_new[k]
-            st.r[k, i, j] = st.r[k, j, i] = r_new[k]
-        for k, c_new, ratio in changed:
-            if not RANK2_MIN_RATIO <= ratio <= 1.0 / RANK2_MIN_RATIO:
-                work.refresh_c(st, k)
+    # a zero uniform has log -inf, below any finite log-ratio
+    u = rng.random()
+    if u == 0.0 or math.log(u) < delta_ll:
+        st.a[0, i, j] = st.a[0, j, i] = a1
+        st.r[0, i, j] = st.r[0, j, i] = r1
+        st.a[1, i, j] = st.a[1, j, i] = a2
+        st.r[1, i, j] = st.r[1, j, i] = r2
+        if ratio1:
+            if not RANK2_MIN_RATIO <= ratio1 <= 1.0 / RANK2_MIN_RATIO:
+                work.refresh_c(st, 0)
                 counters["w_refactor_forced"] += 1
             else:
-                work.move_entry(k, i, j, c_new, ratio)
+                work.move_entry(0, i, j, new1, ratio1)
+        if ratio2:
+            if not RANK2_MIN_RATIO <= ratio2 <= 1.0 / RANK2_MIN_RATIO:
+                work.refresh_c(st, 1)
+                counters["w_refactor_forced"] += 1
+            else:
+                work.move_entry(1, i, j, new2, ratio2)
         counters["edge_accepted"] += 1
     return st
 
@@ -439,7 +482,11 @@ def update_s(st, h, i, rng, work, counters, proposal_sd):
             - h.s_scale * (1.0 / s_new - 1.0 / s_cur)
         delta += t_new - t_cur  # log-scale proposal Jacobian
 
-        if math.isfinite(delta) and math.log(rng.random()) < delta:
+        if not math.isfinite(delta):
+            continue
+        # a zero uniform has log -inf, below any finite log-ratio
+        u = rng.random()
+        if u == 0.0 or math.log(u) < delta:
             st.s[k, i] = s_new
             counters["s_accepted"] += 1
     return st
@@ -527,16 +574,17 @@ def new_counters():
 
 def _sweep(st, d, h, cfg, rng, work, counters):
     p = st.p
+    r_proposal = cfg.r_proposal
+    r_walk_step = cfg.r_walk_step
     for i in range(p):
         for j in range(i + 1, p):
-            update_edge(st, i, j, rng, work=work, counters=counters,
-                        r_proposal=cfg.r_proposal, r_walk_step=cfg.r_walk_step)
+            update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step)
     drift = work.reanchor(st)
     if drift > counters["w_drift_max"]:
         counters["w_drift_max"] = drift
+    s_proposal_sd = cfg.s_proposal_sd
     for i in range(p):
-        update_s(st, h, i, rng, work=work, counters=counters,
-                 proposal_sd=cfg.s_proposal_sd)
+        update_s(st, h, i, rng, work, counters, s_proposal_sd)
     update_mu(st, h, rng, work=work)
     update_q_pi(st, h, rng)
     update_labels(st, d, h, rng, work=work)

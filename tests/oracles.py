@@ -5,11 +5,16 @@ single-row multivariate normal log-density and the admissible interval
 of one correlation entry. The sampler works on cached correlation
 matrices, their inverses and row-wise densities instead; these direct
 forms serve as oracles for that math and for the synthetic truth.
+``entry_kernel`` and ``det_ratio`` are the closed-form edge kernel as
+functions, and ``update_edge_reference`` is the edge update written on
+them, which the sampler's inline ``update_edge`` must match draw for
+draw.
 ``GaussianNBReference`` scores the naive Bayes rule with scipy's normal
 log-density, ``score_recovery`` scores a fit against the generating
 truth, and ``read_network_dot`` parses the DOT files the program writes.
 """
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -30,9 +35,13 @@ from bggm.model import CLASS1, CLASS2, Dataset
 from bggm.pdcore import (
     PD_PIVOT_TOL,
     _check_square_symmetric,
-    entry_kernel,
     hadamard_correlation,
     is_positive_definite,
+)
+from bggm.sampler import (
+    INTERVAL_SHRINK,
+    R_PROPOSAL_WALK,
+    RANK2_MIN_RATIO,
 )
 
 
@@ -45,6 +54,141 @@ def empty_dataset(p):
     """Dataset with no rows, used to sample from the prior."""
     names = tuple(f"V{i + 1}" for i in range(p))
     return Dataset(np.zeros((0, p)), np.zeros(0, dtype=int), names)
+
+
+def entry_kernel(w, i, j, x0):
+    """Closed-form effect of changing one entry pair of a PD correlation
+    matrix C, given its inverse ``w`` = C^-1.
+
+    Moving c[i, j] (and c[j, i]) from its current value ``x0`` by delta
+    multiplies det C by (matrix determinant lemma)
+
+        f(delta) = (1 + delta w_ij)^2 - delta^2 w_ii w_jj
+                 = (1 - delta up_gap) (1 + delta down_gap),
+
+    with up_gap = sqrt(w_ii w_jj) - w_ij and down_gap = sqrt(w_ii w_jj)
+    + w_ij, a downward quadratic with f(0) = 1. Its roots x0 + 1 / up_gap
+    and x0 - 1 / down_gap bound the values that keep C positive definite.
+
+    Reads the three entries of ``w`` once and returns ``(lower, upper,
+    up_gap, down_gap)``: that interval clipped to [-1, 1], and the two
+    factors ``det_ratio`` takes.
+    """
+    w_ij = w.item(i, j)
+    root = math.sqrt(w.item(i, i) * w.item(j, j))
+    up_gap = root - w_ij
+    down_gap = root + w_ij
+    lower = max(x0 - 1.0 / down_gap, -1.0)
+    upper = min(x0 + 1.0 / up_gap, 1.0)
+    return lower, upper, up_gap, down_gap
+
+
+def det_ratio(up_gap, down_gap, delta):
+    """f(delta) of ``entry_kernel``: the factor by which moving the entry
+    by ``delta`` multiplies det C. Not positive outside the interval."""
+    return (1.0 - delta * up_gap) * (1.0 + delta * down_gap)
+
+
+def update_edge_reference(st, i, j, rng, work, counters, r_proposal,
+                          r_walk_step):
+    """``bggm.sampler.update_edge`` written on ``entry_kernel`` and
+    ``det_ratio``, with per-class lists in place of its straight-line
+    code. It makes the same float operations and the same generator calls
+    in the same order, so a chain run with either is bit-identical."""
+    if not i < j:
+        raise InputError("update_edge requires i < j")
+    counters["edge_proposed"] += 1
+
+    c_old = (work.c.item(0, i, j), work.c.item(1, i, j))
+    intervals = []
+    gaps = []
+    for k in range(2):
+        u, v, up_gap, down_gap = entry_kernel(work.w[k], i, j, c_old[k])
+        u, v = u + INTERVAL_SHRINK, v - INTERVAL_SHRINK
+        if not (u < v):
+            counters["edge_empty_interval"] += 1
+            return st
+        intervals.append((u, v))
+        gaps.append((up_gap, down_gap))
+
+    q1 = st.q.item(0, i, j)
+    q2 = st.q.item(1, i, j)
+    pi = st.pi.item(i, j)
+    zero_ok = (intervals[0][0] < 0.0 < intervals[0][1],
+               intervals[1][0] < 0.0 < intervals[1][1])
+    cells = ((0, 0), (1, 0), (0, 1), (1, 1))
+    feasible = []
+    weights = []
+    total = 0.0
+    for a1c, a2c in cells:
+        ok = (a1c or zero_ok[0]) and (a2c or zero_ok[1])
+        wt = ((q1 if a1c else 1.0 - q1)
+              * (q2 if a2c else 1.0 - q2)
+              * (pi if a1c ^ a2c else 1.0 - pi)) if ok else 0.0
+        feasible.append(ok)
+        weights.append(wt)
+        total += wt
+    if total <= 0.0:
+        counters["edge_empty_interval"] += 1
+        return st
+
+    target = rng.random() * total
+    acc = 0.0
+    cell_idx = 3
+    for idx in range(4):
+        acc += weights[idx]
+        if target < acc:
+            cell_idx = idx
+            break
+    a_new = cells[cell_idx]
+    a_cur = (st.a.item(0, i, j), st.a.item(1, i, j))
+    if not feasible[cells.index(a_cur)]:
+        return st
+
+    r_new = [0.0, 0.0]
+    walk_reject = False
+    for k in range(2):
+        u, v = intervals[k]
+        if a_new[k] == 1 and r_proposal == R_PROPOSAL_WALK:
+            cand = st.r.item(k, i, j) + r_walk_step * rng.standard_normal()
+            if not (u < cand < v):
+                walk_reject = True
+            r_new[k] = cand
+        else:
+            r_new[k] = u + (v - u) * rng.random()
+    if walk_reject:
+        return st
+
+    delta_ll = 0.0
+    changed = []
+    for k in range(2):
+        c_new = float(a_new[k]) * r_new[k]
+        if c_new == c_old[k]:
+            continue
+        delta = c_new - c_old[k]
+        ratio = det_ratio(gaps[k][0], gaps[k][1], delta)
+        if not ratio > 0.0:
+            return st
+        changed.append((k, c_new, ratio))
+        delta_ll += 0.5 * work.n_k[k] * math.log(ratio)
+        delta_ll -= (st.s.item(k, i) * st.s.item(k, j) * delta
+                     * work.scatter.item(k, i, j))
+
+    if not math.isfinite(delta_ll):
+        return st
+    u = rng.random()
+    if u == 0.0 or math.log(u) < delta_ll:
+        for k in range(2):
+            st.a[k, i, j] = st.a[k, j, i] = a_new[k]
+            st.r[k, i, j] = st.r[k, j, i] = r_new[k]
+        for k, c_new, ratio in changed:
+            if not RANK2_MIN_RATIO <= ratio <= 1.0 / RANK2_MIN_RATIO:
+                work.refresh_c(st, k)
+                counters["w_refactor_forced"] += 1
+            else:
+                work.move_entry(k, i, j, c_new, ratio)
+        counters["edge_accepted"] += 1
+    return st
 
 
 def admissible_interval(c, i, j):

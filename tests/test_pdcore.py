@@ -3,8 +3,6 @@ import pytest
 
 from bggm.errors import InputError
 from bggm.pdcore import (
-    det_ratio,
-    entry_kernel,
     hadamard_correlation,
     is_positive_definite,
     mvn_logpdf_rows,
@@ -14,6 +12,8 @@ from oracles import (
     PrecisionFactors,
     admissible_interval,
     assemble_precision,
+    det_ratio,
+    entry_kernel,
     mvn_logpdf,
     partial_correlations,
 )

@@ -11,7 +11,7 @@ from bggm.model import (
     default_hyperparameters,
     validate_state,
 )
-from bggm.pdcore import det_ratio, entry_kernel, hadamard_correlation
+from bggm.pdcore import hadamard_correlation
 from bggm.sampler import (
     INTERVAL_SHRINK,
     RANK2_MIN_RATIO,
@@ -27,7 +27,13 @@ from bggm.sampler import (
     update_q_pi,
     update_s,
 )
-from oracles import empty_dataset, mvn_logpdf
+from oracles import (
+    det_ratio,
+    empty_dataset,
+    entry_kernel,
+    mvn_logpdf,
+    update_edge_reference,
+)
 from test_pdcore import near_singular_correlation, random_correlation
 
 
@@ -75,6 +81,21 @@ def coupled_cell_marginals(m1, m2, mp):
     return ((cells[(1, 0)] + cells[(1, 1)]) / z,
             (cells[(0, 1)] + cells[(1, 1)]) / z,
             (cells[(1, 0)] + cells[(0, 1)]) / z)
+
+
+class StubRng:
+    """Replays fixed values for the two scalar generator calls the edge
+    and scale updates make."""
+
+    def __init__(self, uniforms, normals=()):
+        self.uniforms = list(uniforms)
+        self.normals = list(normals)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+    def standard_normal(self):
+        return self.normals.pop(0)
 
 
 class TestChainConfig:
@@ -243,6 +264,23 @@ class TestUpdateEdge:
                         _Workspace(st, d), new_counters(),
                         r_proposal="prior", r_walk_step=0.2)
 
+    @pytest.mark.parametrize("uniform, accepted", [(0.0, 1), (5e-324, 0)])
+    def test_zero_accept_uniform_accepts(self, uniform, accepted):
+        # C_k = I, and the scatter makes the move to r = 0.5 in both
+        # classes cost about 1e6 in log-likelihood, far below the log of
+        # the smallest positive double: only a zero uniform accepts it
+        st, _, work = workspace_on([np.eye(2), np.eye(2)])
+        work.scatter[:, 0, 1] = work.scatter[:, 1, 0] = 1e6
+        counters = new_counters()
+        # the cell draw picks (1, 1); both values land at 0.75 of (-1, 1)
+        rng = StubRng([0.999, 0.75, 0.75, uniform])
+        update_edge(st, 0, 1, rng, work, counters,
+                    r_proposal="prior", r_walk_step=0.2)
+        assert rng.uniforms == []
+        assert counters["edge_accepted"] == accepted
+        assert np.all(st.a[:, 0, 1] == 1)
+        assert st.r[:, 0, 1] == pytest.approx(0.5 if accepted else 0.0, abs=1e-7)
+
 
 def workspace_on(corrs):
     """State with both classes' graphs full and R_k = ``corrs[k]`` (so
@@ -401,6 +439,22 @@ class TestUpdateS:
         accepted, proposed = counters["s_accepted"], counters["s_proposed"]
         assert accepted / proposed > 0.999
         assert np.allclose(st.s, before, atol=1e-6)
+
+    @pytest.mark.parametrize("uniform, accepted", [(0.0, 1), (5e-324, 0)])
+    def test_zero_accept_uniform_accepts(self, uniform, accepted):
+        # a step of +1 in log s_0 against a scatter entry of 1e6 costs
+        # about 3e6 in log-likelihood: only a zero uniform accepts it
+        d = empty_dataset(2)
+        h = default_hyperparameters(2)
+        st = init_state(d, h)
+        work = _Workspace(st, d)
+        work.scatter[:, 0, 0] = 1e6
+        counters = new_counters()
+        rng = StubRng([uniform, uniform], normals=[1.0, 1.0])
+        update_s(st, h, 0, rng, work, counters, proposal_sd=1.0)
+        assert rng.uniforms == [] and rng.normals == []
+        assert counters["s_accepted"] == 2 * accepted
+        assert np.all(st.s[:, 0] == (np.e if accepted else 1.0))
 
     def test_concentrates_on_inverse_sd(self):
         # diagonal model: omega_ii = s_i^2, so s_0 -> 1/sd as n grows
@@ -576,3 +630,72 @@ class TestRunChain:
         samples = run_chain(d, h, cfg)
         assert samples.violations == []
         assert 0.0 <= samples.acceptance["edge"] <= 1.0
+
+    def test_sweep_calls_update_edge_once_per_edge(self, monkeypatch):
+        # the per-edge call contract perfbench's traced run relies on: it
+        # wraps the module-global update_edge and compares its call count
+        # with the chain's edge_proposed
+        calls = 0
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return update_edge(*args, **kwargs)
+
+        monkeypatch.setattr("bggm.sampler.update_edge", counted)
+        p = 5
+        d = two_class_gaussian(p, 8, np.random.default_rng(43))
+        cfg = ChainConfig(iterations=7, burn_in=2, seed=17)
+        samples = run_chain(d, default_hyperparameters(p), cfg)
+        want = p * (p - 1) // 2 * cfg.iterations
+        assert calls == want == samples.counts["edge_proposed"]
+
+
+def chain_case(case, monkeypatch):
+    """Dataset and chain settings of one reference-equality case. The
+    ill-conditioned case makes ``run_chain`` start from full graphs with
+    R_k a correlation matrix of condition number ~9e6 in both classes, so
+    accepted moves fall outside the rank-2 band and refactor in full."""
+    rng = np.random.default_rng(44)
+    if case == "prior":
+        d = two_class_gaussian(5, 12, rng)
+        return d, ChainConfig(iterations=40, burn_in=10, seed=18)
+    if case == "walk-unknown-rows":
+        d_lab = two_class_gaussian(5, 12, rng)
+        d = Dataset(np.vstack([d_lab.y, rng.standard_normal((6, 5))]),
+                    np.concatenate([d_lab.labels, np.zeros(6, dtype=int)]),
+                    d_lab.names)
+        return d, ChainConfig(iterations=40, burn_in=10, seed=19,
+                              r_proposal="walk", r_walk_step=0.3)
+
+    def ill_conditioned_start(d, h):
+        st = init_state(d, h)
+        st.a[:] = 1
+        st.r[:] = near_singular_correlation(d.p, np.random.default_rng(8))
+        return st
+
+    monkeypatch.setattr("bggm.sampler.init_state", ill_conditioned_start)
+    return (two_class_gaussian(10, 10, rng),
+            ChainConfig(iterations=20, burn_in=5, seed=4))
+
+
+@pytest.mark.parametrize("case", ["prior", "walk-unknown-rows", "ill-conditioned"])
+def test_update_edge_matches_reference_bit_for_bit(case, monkeypatch):
+    """The inline edge kernel against ``update_edge_reference``, the same
+    update written on ``entry_kernel``/``det_ratio``: whole chains agree
+    draw for draw and count for count."""
+    d, cfg = chain_case(case, monkeypatch)
+    h = default_hyperparameters(d.p)
+    production = run_chain(d, h, cfg)
+    monkeypatch.setattr("bggm.sampler.update_edge", update_edge_reference)
+    reference = run_chain(d, h, cfg)
+    for name in ("a", "r", "s", "mu", "z_u"):
+        assert np.array_equal(getattr(production, name),
+                              getattr(reference, name)), name
+    assert production.counts == reference.counts
+    counts = production.counts
+    assert counts["edge_accepted"] > 0
+    if case == "walk-unknown-rows":
+        assert production.z_u.shape[1] == 6
+    if case == "ill-conditioned":
+        assert counts["w_refactor_forced"] > 0
