@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .pdcore import hadamard_correlation, is_positive_definite
+from .pdcore import PD_PIVOT_TOL, SYMMETRY_TOL, is_positive_definite
 
 UNKNOWN = 0
 CLASS1 = 1
@@ -286,39 +286,66 @@ class ChainState:
         return self.s.shape[1]
 
 
-def validate_state(st):
-    """Diagnostic check of every ChainState invariant.
+def _effective_pd(a, r):
+    """(2,) flags: is each class's effective correlation A_k o R_k
+    positive definite, by ``is_positive_definite``'s rule? A matrix that
+    is not symmetric to SYMMETRY_TOL is not. Nor is one with a non-finite
+    entry: it fails that test too, as the difference from its mirror
+    entry is NaN."""
+    c = a * r
+    diag = np.arange(c.shape[1])
+    c[:, diag, diag] = 1.0
+    ok = (np.abs(c - c.transpose(0, 2, 1)) <= SYMMETRY_TOL).all(axis=(1, 2))
+    try:
+        piv = np.diagonal(np.linalg.cholesky(c[ok]), axis1=1, axis2=2)
+        ok[ok] = (piv * piv > PD_PIVOT_TOL).all(axis=1)
+    except np.linalg.LinAlgError:
+        # at least one factorization failed; find which class by itself
+        for k in np.flatnonzero(ok):
+            ok[k] = is_positive_definite(c[k])
+    return ok
 
-    Returns the full list of violation strings; empty means ok.
+
+def validate_state(st):
+    """Diagnostic check of every ChainState invariant, both classes at
+    once on the stacked arrays.
+
+    Returns the full list of violation strings, class 1's checks before
+    class 2's and the shared checks last; empty means ok. A non-finite or
+    asymmetric R_k is reported, never raised.
     """
-    bad = []
-    for k in range(2):
-        a_k = st.a[k]
-        r_k = st.r[k]
-        if not np.array_equal(a_k, a_k.T) or not np.all((a_k == 0) | (a_k == 1)):
-            bad.append(f"A: class {k + 1} selection matrix not symmetric binary")
-        if not np.all(np.diag(a_k) == 1):
-            bad.append(f"A-diag: class {k + 1} selection diagonal not all 1")
-        if not np.array_equal(r_k, r_k.T):
-            bad.append(f"R: class {k + 1} correlation matrix not symmetric")
-        if not np.all(np.diag(r_k) == 1.0):
-            bad.append(f"R-diag: class {k + 1} correlation diagonal not all 1")
-        if np.any(np.abs(r_k) > 1.0):
-            bad.append(f"R-range: class {k + 1} entries outside [-1, 1]")
-        if not np.all(st.s[k] > 0):
-            bad.append(f"S: class {k + 1} scales not strictly positive")
-        if not np.all((st.q[k] > 0) & (st.q[k] < 1)):
-            bad.append(f"q: class {k + 1} edge probabilities outside (0, 1)")
-        if not is_positive_definite(hadamard_correlation(a_k, r_k)):
-            bad.append(f"PD: class {k + 1} effective correlation not positive definite")
-    if not np.all((st.pi > 0) & (st.pi < 1)):
+    a, r = st.a, st.r
+    a_diag = np.diagonal(a, axis1=1, axis2=2)
+    r_diag = np.diagonal(r, axis1=1, axis2=2)
+    per_class = (
+        ((a != a.transpose(0, 2, 1)).any(axis=(1, 2))
+         | ~((a == 0) | (a == 1)).all(axis=(1, 2)),
+         "A: class {} selection matrix not symmetric binary"),
+        (~(a_diag == 1).all(axis=1),
+         "A-diag: class {} selection diagonal not all 1"),
+        ((r != r.transpose(0, 2, 1)).any(axis=(1, 2)),
+         "R: class {} correlation matrix not symmetric"),
+        (~(r_diag == 1.0).all(axis=1),
+         "R-diag: class {} correlation diagonal not all 1"),
+        ((np.abs(r) > 1.0).any(axis=(1, 2)),
+         "R-range: class {} entries outside [-1, 1]"),
+        (~(st.s > 0).all(axis=1),
+         "S: class {} scales not strictly positive"),
+        (~((st.q > 0) & (st.q < 1)).all(axis=(1, 2)),
+         "q: class {} edge probabilities outside (0, 1)"),
+        (~_effective_pd(a, r),
+         "PD: class {} effective correlation not positive definite"),
+    )
+    bad = [msg.format(k + 1) for k in range(2)
+           for flags, msg in per_class if flags[k]]
+    if not ((st.pi > 0) & (st.pi < 1)).all():
         bad.append("pi: differential probabilities outside (0, 1)")
     if st.h.shape != st.z_u.shape:
         bad.append("labels: h and z_u length mismatch")
-    if not np.all((st.h > 0) & (st.h < 1)):
+    if not ((st.h > 0) & (st.h < 1)).all():
         bad.append("h: unknown-label probabilities outside (0, 1)")
-    if not np.all(np.isin(st.z_u, [CLASS1, CLASS2])):
+    if not ((st.z_u == CLASS1) | (st.z_u == CLASS2)).all():
         bad.append("z_u: sampled labels must be 1 or 2")
-    if not np.all(np.isfinite(st.mu)):
+    if not np.isfinite(st.mu).all():
         bad.append("mu: non-finite entries")
     return bad

@@ -19,6 +19,8 @@ from .errors import InputError
 # A matrix counts as PD iff every Cholesky pivot exceeds this. Strictly
 # positive so that near-singular proposals are treated as invalid.
 PD_PIVOT_TOL = 1e-10
+# Largest |m_ij - m_ji| of a matrix that counts as symmetric.
+SYMMETRY_TOL = 1e-12
 
 
 def _check_square_symmetric(m, name="matrix"):
@@ -27,7 +29,7 @@ def _check_square_symmetric(m, name="matrix"):
         raise InputError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InputError(f"{name} contains non-finite entries")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
+    if not np.allclose(m, m.T, rtol=0.0, atol=SYMMETRY_TOL):
         raise InputError(f"{name} is not symmetric")
     return m
 

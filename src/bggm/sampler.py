@@ -12,11 +12,12 @@ labels. Everything is driven by one explicit Generator, so a chain is
 fully deterministic given its seed.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .errors import InputError, NumericalAbort, ValidationError
 from .model import CLASS1, CLASS2, ChainState, Dataset, validate_state
@@ -199,8 +200,8 @@ def init_state(d: Dataset, h):
 class _Workspace:
     """Per-chain caches: effective correlation matrices C_k = A_k o R_k,
     their log-determinants and inverses W_k = C_k^-1, current class
-    assignments, sums and scatter matrices. Owned by exactly one running
-    chain.
+    assignments with each class's block of rows, sums and scatter
+    matrices. Owned by exactly one running chain.
 
     W_k is what the edge kernel reads: by the matrix determinant lemma,
     moving entry (i, j) of C_k by delta multiplies det C_k by
@@ -213,28 +214,39 @@ class _Workspace:
     W_k in O(p^2) through ``move_entry``; ``refresh_c`` recomputes all
     three from a Cholesky factor in O(p^3), and ``reanchor`` does so for
     both classes once per sweep so that round-off in W_k cannot
-    accumulate."""
+    accumulate.
+
+    The scatter matrices depend on the means and the assignments.
+    ``update_mu`` and ``update_labels`` change those and leave the
+    scatter stale; ``_sweep`` refreshes it once, after the last of them,
+    before anything reads it again."""
 
     def __init__(self, st, d):
         self.d = d
+        self.eye = np.eye(d.p)
+        self.unknown_rows = d.unknown_rows
         self.c = np.empty((2, d.p, d.p))
         self.logdet_c = np.empty(2)
         self.w = np.empty((2, d.p, d.p))
         for k in range(2):
             self.refresh_c(st, k)
-        self.z = None
+        self.blocks = None
         self.n_k = None
         self.ysum = None
-        self.scatter = None
+        self.scatter = np.empty((2, d.p, d.p))
         self.refresh_assignments(st)
         self.refresh_scatter(st)
 
-    def refresh_c(self, st, k):
-        c = hadamard_correlation(st.a[k], st.r[k])
-        chol = np.linalg.cholesky(c)
+    def _factor(self, k, c, chol):
+        """Store C_k = ``c`` with its log-determinant and inverse from its
+        lower Cholesky factor ``chol``."""
         self.c[k] = c
         self.logdet_c[k] = 2.0 * np.sum(np.log(np.diagonal(chol)))
-        self.w[k] = cho_solve((chol, True), np.eye(self.d.p))
+        self.w[k] = dpotrs(chol, self.eye, lower=1)[0]
+
+    def refresh_c(self, st, k):
+        c = hadamard_correlation(st.a[k], st.r[k])
+        self._factor(k, c, np.linalg.cholesky(c))
 
     def move_entry(self, k, i, j, x, ratio):
         """Set C_k[i, j] = C_k[j, i] = ``x``, where ``ratio`` is the
@@ -261,32 +273,29 @@ class _Workspace:
         """Refactor both classes from a Cholesky factor and return the
         largest max|W_k C_k - I| found beforehand: the drift the rank-2
         updates since the last refactor left in W_k."""
-        eye = np.eye(self.d.p)
-        drift = 0.0
+        drift = float(np.max(np.abs(self.w @ self.c - self.eye)))
+        c = st.a * st.r
+        diag = np.arange(self.d.p)
+        c[:, diag, diag] = 1.0
+        chol = np.linalg.cholesky(c)
         for k in range(2):
-            drift = max(drift, float(np.max(np.abs(self.w[k] @ self.c[k] - eye))))
-            self.refresh_c(st, k)
+            self._factor(k, c[k], chol[k])
         return drift
 
     def refresh_assignments(self, st):
+        """Class assignments of the rows (unknown rows take z_u), each
+        class's block of rows, its size and its column sums."""
         z = self.d.labels.copy()
         if len(st.z_u):
-            z[self.d.unknown_rows] = st.z_u
-        self.z = z
-        self.n_k = (int(np.sum(z == CLASS1)), int(np.sum(z == CLASS2)))
-        self.ysum = np.zeros((2, self.d.p))
-        for k, cls in enumerate((CLASS1, CLASS2)):
-            rows = z == cls
-            if rows.any():
-                self.ysum[k] = self.d.y[rows].sum(axis=0)
+            z[self.unknown_rows] = st.z_u
+        self.blocks = (self.d.y[z == CLASS1], self.d.y[z == CLASS2])
+        self.n_k = (len(self.blocks[0]), len(self.blocks[1]))
+        self.ysum = np.array([block.sum(axis=0) for block in self.blocks])
 
     def refresh_scatter(self, st):
-        self.scatter = np.zeros((2, self.d.p, self.d.p))
-        for k, cls in enumerate((CLASS1, CLASS2)):
-            rows = self.z == cls
-            if rows.any():
-                resid = self.d.y[rows] - st.mu[k]
-                self.scatter[k] = resid.T @ resid
+        for k, block in enumerate(self.blocks):
+            resid = block - st.mu[k]
+            self.scatter[k] = resid.T @ resid
 
     def omega(self, st, k):
         return self.c[k] * np.outer(st.s[k], st.s[k])
@@ -466,17 +475,17 @@ def update_s(st, h, i, rng, work, counters, proposal_sd):
     """
     for k in range(2):
         counters["s_proposed"] += 1
-        s_cur = float(st.s[k, i])
+        s_cur = st.s.item(k, i)
         t_cur = math.log(s_cur)
         t_new = t_cur + proposal_sd * rng.standard_normal()
         s_new = math.exp(t_new)
 
         n_k = work.n_k[k]
-        scatter = work.scatter[k]
-        cross = float(st.s[k] @ (work.c[k][i] * scatter[i])) \
-            - s_cur * float(work.c[k][i, i] * scatter[i, i])
+        scatter_ii = work.scatter.item(k, i, i)
+        cross = float(st.s[k] @ (work.c[k, i] * work.scatter[k, i])) \
+            - s_cur * (work.c.item(k, i, i) * scatter_ii)
         quad_delta = 2.0 * (s_new - s_cur) * cross \
-            + (s_new * s_new - s_cur * s_cur) * float(scatter[i, i])
+            + (s_new * s_new - s_cur * s_cur) * scatter_ii
         delta = n_k * (t_new - t_cur) - 0.5 * quad_delta
         delta += -(h.s_shape + 1.0) * (t_new - t_cur) \
             - h.s_scale * (1.0 / s_new - 1.0 / s_cur)
@@ -495,47 +504,57 @@ def update_s(st, h, i, rng, work, counters, proposal_sd):
 def update_mu(st, h, rng, work):
     """Gibbs draw of both class means from the conjugate normal full
     conditional N((B0 + n_k Omega)^-1 (B0 mu0 + Omega sum(y)),
-    (B0 + n_k Omega)^-1); classes without members draw from the prior."""
+    (B0 + n_k Omega)^-1); classes without members draw from the prior.
+    The scatter matrices go stale; ``_sweep`` refreshes them."""
     for k in range(2):
         n_k = work.n_k[k]
         noise = rng.standard_normal(st.p)
         if n_k == 0:
             chol = np.linalg.cholesky(h.b0[k])
-            st.mu[k] = h.mu0[k] + solve_triangular(chol.T, noise, lower=False)
+            st.mu[k] = h.mu0[k] + dtrtrs(chol.T, noise, lower=0)[0]
             continue
         omega = work.omega(st, k)
         post_prec = h.b0[k] + n_k * omega
         rhs = h.b0[k] @ h.mu0[k] + omega @ work.ysum[k]
         chol = np.linalg.cholesky(post_prec)
-        mean = cho_solve((chol, True), rhs)
-        st.mu[k] = mean + solve_triangular(chol.T, noise, lower=False)
-    work.refresh_scatter(st)
+        mean = dpotrs(chol, rhs, lower=1)[0]
+        st.mu[k] = mean + dtrtrs(chol.T, noise, lower=0)[0]
     return st
+
+
+@functools.cache
+def _upper(p):
+    """Row and column indices of the strict upper triangle of a p x p
+    matrix; ``np.triu_indices`` costs as much as the draws that use it.
+    Every caller gets the same arrays, so none may write to them."""
+    return np.triu_indices(p, 1)
 
 
 def update_q_pi(st, h, rng):
     """Conjugate Beta Gibbs draws of the edge and differential
-    probabilities from the current indicators."""
-    p = st.p
-    iu = np.triu_indices(p, 1)
-    for k in range(2):
-        a_vals = st.a[k][iu].astype(float)
-        draw = rng.beta(h.edge_a[k][iu] + a_vals, h.edge_b[k][iu] + 1.0 - a_vals)
-        st.q[k][iu] = draw
-        st.q[k].T[iu] = draw
-    lam_vals = (st.a[0][iu] != st.a[1][iu]).astype(float)
-    draw = rng.beta(h.diff_e[iu] + lam_vals, h.diff_f[iu] + 1.0 - lam_vals)
-    st.pi[iu] = draw
-    st.pi.T[iu] = draw
+    probabilities from the current indicators. One ``beta`` call draws
+    class 1's edge probabilities, class 2's and then the differential
+    ones, entry by entry in that order."""
+    rows, cols = _upper(st.p)
+    a_vals = st.a[:, rows, cols].astype(float)
+    lam_vals = (a_vals[0] != a_vals[1]).astype(float)
+    draw = rng.beta(
+        np.vstack([h.edge_a[:, rows, cols] + a_vals, h.diff_e[rows, cols] + lam_vals]),
+        np.vstack([h.edge_b[:, rows, cols] + 1.0 - a_vals,
+                   h.diff_f[rows, cols] + 1.0 - lam_vals]))
+    st.q[:, rows, cols] = st.q[:, cols, rows] = draw[:2]
+    st.pi[rows, cols] = st.pi[cols, rows] = draw[2]
     return st
 
 
 def update_labels(st, d, h, rng, work):
     """Sample each unknown label from its posterior odds, then refresh the
-    per-sample Beta probabilities. No-op without unknown samples."""
+    per-sample Beta probabilities and the class assignments. The scatter
+    matrices go stale; ``_sweep`` refreshes them. No-op without unknown
+    samples."""
     if len(st.z_u) == 0:
         return st
-    rows = d.unknown_rows
+    rows = work.unknown_rows
     y_u = d.y[rows]
 
     log_odds = np.log(st.h) - np.log1p(-st.h)
@@ -551,7 +570,6 @@ def update_labels(st, d, h, rng, work):
     st.h = rng.beta(h.label_eta + (z_new == CLASS1),
                     h.label_zeta + (z_new == CLASS2))
     work.refresh_assignments(st)
-    work.refresh_scatter(st)
     return st
 
 
@@ -585,15 +603,18 @@ def _sweep(st, d, h, cfg, rng, work, counters):
     s_proposal_sd = cfg.s_proposal_sd
     for i in range(p):
         update_s(st, h, i, rng, work, counters, s_proposal_sd)
-    update_mu(st, h, rng, work=work)
+    update_mu(st, h, rng, work)
     update_q_pi(st, h, rng)
-    update_labels(st, d, h, rng, work=work)
+    update_labels(st, d, h, rng, work)
+    # the one scatter refresh of the sweep, after the means and the
+    # assignments have both moved
+    work.refresh_scatter(st)
 
 
 def _check_finite(st, work, sweep_idx):
-    if not (np.all(np.isfinite(work.logdet_c))
-            and np.all(np.isfinite(st.mu))
-            and np.all(np.isfinite(st.s))):
+    if not (np.isfinite(work.logdet_c).all()
+            and np.isfinite(st.mu).all()
+            and np.isfinite(st.s).all()):
         raise NumericalAbort(
             f"non-finite chain state at sweep {sweep_idx}",
             diagnostics={"violations": validate_state(st),

@@ -8,7 +8,8 @@ forms serve as oracles for that math and for the synthetic truth.
 ``entry_kernel`` and ``det_ratio`` are the closed-form edge kernel as
 functions, and ``update_edge_reference`` is the edge update written on
 them, which the sampler's inline ``update_edge`` must match draw for
-draw.
+draw. ``validate_state_reference`` checks the chain-state invariants one
+class at a time, the form the stacked ``model.validate_state`` must match.
 ``GaussianNBReference`` scores the naive Bayes rule with scipy's normal
 log-density, ``score_recovery`` scores a fit against the generating
 truth, and ``read_network_dot`` parses the DOT files the program writes.
@@ -189,6 +190,43 @@ def update_edge_reference(st, i, j, rng, work, counters, r_proposal,
                 work.move_entry(k, i, j, c_new, ratio)
         counters["edge_accepted"] += 1
     return st
+
+
+def validate_state_reference(st):
+    """``model.validate_state`` written as one loop over the classes, with
+    ``is_positive_definite`` on each effective correlation matrix; it
+    raises InputError where that matrix is non-finite or asymmetric."""
+    bad = []
+    for k in range(2):
+        a_k = st.a[k]
+        r_k = st.r[k]
+        if not np.array_equal(a_k, a_k.T) or not np.all((a_k == 0) | (a_k == 1)):
+            bad.append(f"A: class {k + 1} selection matrix not symmetric binary")
+        if not np.all(np.diag(a_k) == 1):
+            bad.append(f"A-diag: class {k + 1} selection diagonal not all 1")
+        if not np.array_equal(r_k, r_k.T):
+            bad.append(f"R: class {k + 1} correlation matrix not symmetric")
+        if not np.all(np.diag(r_k) == 1.0):
+            bad.append(f"R-diag: class {k + 1} correlation diagonal not all 1")
+        if np.any(np.abs(r_k) > 1.0):
+            bad.append(f"R-range: class {k + 1} entries outside [-1, 1]")
+        if not np.all(st.s[k] > 0):
+            bad.append(f"S: class {k + 1} scales not strictly positive")
+        if not np.all((st.q[k] > 0) & (st.q[k] < 1)):
+            bad.append(f"q: class {k + 1} edge probabilities outside (0, 1)")
+        if not is_positive_definite(hadamard_correlation(a_k, r_k)):
+            bad.append(f"PD: class {k + 1} effective correlation not positive definite")
+    if not np.all((st.pi > 0) & (st.pi < 1)):
+        bad.append("pi: differential probabilities outside (0, 1)")
+    if st.h.shape != st.z_u.shape:
+        bad.append("labels: h and z_u length mismatch")
+    if not np.all((st.h > 0) & (st.h < 1)):
+        bad.append("h: unknown-label probabilities outside (0, 1)")
+    if not np.all(np.isin(st.z_u, [CLASS1, CLASS2])):
+        bad.append("z_u: sampled labels must be 1 or 2")
+    if not np.all(np.isfinite(st.mu)):
+        bad.append("mu: non-finite entries")
+    return bad
 
 
 def admissible_interval(c, i, j):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import invgamma
 
+from bggm import sampler
 from bggm.errors import InputError, ValidationError
 from bggm.model import (
     CLASS1,
@@ -407,6 +408,30 @@ class TestSweepReanchor:
         assert counters["w_refactor_forced"] == 0
         assert 0.0 < counters["w_drift_max"] < 1e-10
 
+    def test_one_scatter_refresh_leaves_fresh_sums_and_scatter(self):
+        # _sweep refreshes the scatter once, after update_mu and
+        # update_labels have both moved what it depends on
+        rng = np.random.default_rng(45)
+        d_lab = two_class_gaussian(4, 10, rng)
+        d = Dataset(np.vstack([d_lab.y, rng.standard_normal((8, 4))]),
+                    np.concatenate([d_lab.labels, np.zeros(8, dtype=int)]),
+                    d_lab.names)
+        h = default_hyperparameters(4)
+        cfg = ChainConfig(iterations=40, burn_in=10, seed=20)
+        st = init_state(d, h)
+        work = _Workspace(st, d)
+        counters = new_counters()
+        gen = np.random.default_rng(21)
+        seen = set()
+        for _ in range(40):
+            _sweep(st, d, h, cfg, gen, work, counters)
+            fresh = _Workspace(st, d)
+            assert work.n_k == fresh.n_k
+            assert np.array_equal(work.ysum, fresh.ysum)
+            assert np.array_equal(work.scatter, fresh.scatter)
+            seen.add(work.n_k)
+        assert len(seen) > 1  # the label draws moved rows between classes
+
 
 class TestUpdateS:
     def test_no_data_matches_inverse_gamma_quantiles(self):
@@ -649,6 +674,40 @@ class TestRunChain:
         samples = run_chain(d, default_hyperparameters(p), cfg)
         want = p * (p - 1) // 2 * cfg.iterations
         assert calls == want == samples.counts["edge_proposed"]
+
+    @pytest.mark.parametrize("unknown", [0, 6])
+    def test_sweep_calls_each_other_layer_once(self, monkeypatch, unknown):
+        # perfbench's traced run wraps these module-global names too and
+        # attributes each layer's time to them
+        calls = {}
+
+        def wrap(name):
+            original = getattr(sampler, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(sampler, name, counted)
+
+        names = ("update_s", "update_mu", "update_q_pi", "update_labels",
+                 "mvn_logpdf_rows", "validate_state")
+        for name in names:
+            wrap(name)
+        p = 4
+        rng = np.random.default_rng(46)
+        d_lab = two_class_gaussian(p, 8, rng)
+        d = Dataset(np.vstack([d_lab.y, rng.standard_normal((unknown, p))]),
+                    np.concatenate([d_lab.labels, np.zeros(unknown, dtype=int)]),
+                    d_lab.names)
+        cfg = ChainConfig(iterations=9, burn_in=3, seed=22, validate_every=1)
+        samples = run_chain(d, default_hyperparameters(p), cfg)
+        assert samples.violations == []
+        sweeps = cfg.iterations
+        assert {name: calls.get(name, 0) for name in names} == {
+            "update_s": p * sweeps, "update_mu": sweeps, "update_q_pi": sweeps,
+            "update_labels": sweeps,
+            "mvn_logpdf_rows": 2 * sweeps if unknown else 0,
+            "validate_state": sweeps}
 
 
 def chain_case(case, monkeypatch):
