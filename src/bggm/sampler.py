@@ -60,8 +60,10 @@ class ChainConfig:
             raise InputError("thin must be in [1, iterations - burn_in]")
         if self.r_proposal not in (R_PROPOSAL_PRIOR, R_PROPOSAL_WALK):
             raise InputError(f"unknown r_proposal {self.r_proposal!r}")
-        if self.r_walk_step <= 0 or self.s_proposal_sd <= 0:
-            raise InputError("proposal scales must be positive")
+        for name in ("r_walk_step", "s_proposal_sd"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InputError(f"{name} must be finite and positive, got {value}")
         if self.validate_every < 0:
             raise InputError("validate_every must be non-negative")
 
@@ -304,7 +306,8 @@ class _Workspace:
         return 2.0 * float(np.sum(np.log(st.s[k]))) + float(self.logdet_c[k])
 
 
-def update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step):
+def update_edge(st, i, j, rng, uniform, work, counters, r_proposal,
+                r_walk_step):
     """Joint update of (a1, a2, r1, r2) at edge (i, j).
 
     A candidate (a1*, a2*) cell is drawn with probability proportional to
@@ -326,6 +329,11 @@ def update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step):
     with W_k = C_k^-1, up = sqrt(w_ii w_jj) - w_ij and down = sqrt(w_ii
     w_jj) + w_ij. Its roots x + 1 / up and x - 1 / down around the current
     entry x bound the values that keep C_k positive definite.
+
+    Every uniform comes from ``uniform()``, at most 4 per call (the cell,
+    r1, r2 and the accept draw); ``rng`` gives only the walk's normals.
+    With prior proposals ``_sweep`` passes the ``pop`` of a list drawn
+    for the whole edge loop, with walk proposals ``rng.random`` itself.
     """
     if not i < j:
         raise InputError("update_edge requires i < j")
@@ -386,7 +394,7 @@ def update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step):
 
     # inverse-CDF draw over the cells in the order (0, 0), (1, 0), (0, 1),
     # (1, 1) (Generator.choice is slow)
-    target = rng.random() * total
+    target = uniform() * total
     if target < w00:
         a1, a2 = 0, 0
     elif target < w00 + w10:
@@ -401,20 +409,20 @@ def update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step):
 
     # active candidates walk from the stored value; for an edge coming in
     # from a = 0 that value is the dormant bookkeeping entry (seeded from
-    # the empirical partial correlations). u + (v - u) * rng.random() is
-    # the draw rng.uniform(u, v) makes, at a third of its call cost.
+    # the empirical partial correlations). u + (v - u) * uniform() is the
+    # draw rng.uniform(u, v) makes, at a third of its call cost.
     walk = r_proposal == R_PROPOSAL_WALK
     walk_reject = False
     if a1 and walk:
         r1 = st.r.item(0, i, j) + r_walk_step * rng.standard_normal()
         walk_reject = not u1 < r1 < v1
     else:
-        r1 = u1 + (v1 - u1) * rng.random()
+        r1 = u1 + (v1 - u1) * uniform()
     if a2 and walk:
         r2 = st.r.item(1, i, j) + r_walk_step * rng.standard_normal()
         walk_reject = walk_reject or not u2 < r2 < v2
     else:
-        r2 = u2 + (v2 - u2) * rng.random()
+        r2 = u2 + (v2 - u2) * uniform()
     if walk_reject:
         return st
 
@@ -445,7 +453,7 @@ def update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step):
     if not math.isfinite(delta_ll):
         return st
     # a zero uniform has log -inf, below any finite log-ratio
-    u = rng.random()
+    u = uniform()
     if u == 0.0 or math.log(u) < delta_ll:
         st.a[0, i, j] = st.a[0, j, i] = a1
         st.r[0, i, j] = st.r[0, j, i] = r1
@@ -594,9 +602,29 @@ def _sweep(st, d, h, cfg, rng, work, counters):
     p = st.p
     r_proposal = cfg.r_proposal
     r_walk_step = cfg.r_walk_step
+    buffered = r_proposal != R_PROPOSAL_WALK
+    if buffered:
+        # Prior proposals draw only uniforms in the edge loop, at most 4
+        # per edge, so draw them all in one call and then rewind the
+        # generator to just past the ones taken. With PCG64, random(n)
+        # yields the doubles of n scalar calls and advance(k) moves the
+        # state as k of them would, so the stream is the same as with
+        # scalar draws. (The rewind would drop a buffered 32-bit half
+        # word; the chain makes no 32-bit draws.)
+        saved = rng.bit_generator.state
+        drawn = 2 * p * (p - 1)
+        buffer = rng.random(drawn)[::-1].tolist()
+        uniform = buffer.pop
+    else:
+        # walk proposals interleave normals with the uniforms
+        uniform = rng.random
     for i in range(p):
         for j in range(i + 1, p):
-            update_edge(st, i, j, rng, work, counters, r_proposal, r_walk_step)
+            update_edge(st, i, j, rng, uniform, work, counters, r_proposal,
+                        r_walk_step)
+    if buffered:
+        rng.bit_generator.state = saved
+        rng.bit_generator.advance(drawn - len(buffer))
     drift = work.reanchor(st)
     if drift > counters["w_drift_max"]:
         counters["w_drift_max"] = drift

@@ -8,8 +8,10 @@ forms serve as oracles for that math and for the synthetic truth.
 ``entry_kernel`` and ``det_ratio`` are the closed-form edge kernel as
 functions, and ``update_edge_reference`` is the edge update written on
 them, which the sampler's inline ``update_edge`` must match draw for
-draw. ``validate_state_reference`` checks the chain-state invariants one
-class at a time, the form the stacked ``model.validate_state`` must match.
+draw; ``sweep_reference`` is the sweep with one generator call per
+edge-loop uniform, which the buffered ``_sweep`` must match.
+``validate_state_reference`` checks the chain-state invariants one class
+at a time, the form the stacked ``model.validate_state`` must match.
 ``GaussianNBReference`` scores the naive Bayes rule with scipy's normal
 log-density, ``score_recovery`` scores a fit against the generating
 truth, and ``read_network_dot`` parses the DOT files the program writes.
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
+from bggm import sampler
 from bggm.baselines import _log_priors, _split_by_class
 from bggm.errors import InputError
 from bggm.inference import (
@@ -90,12 +93,13 @@ def det_ratio(up_gap, down_gap, delta):
     return (1.0 - delta * up_gap) * (1.0 + delta * down_gap)
 
 
-def update_edge_reference(st, i, j, rng, work, counters, r_proposal,
+def update_edge_reference(st, i, j, rng, uniform, work, counters, r_proposal,
                           r_walk_step):
     """``bggm.sampler.update_edge`` written on ``entry_kernel`` and
     ``det_ratio``, with per-class lists in place of its straight-line
-    code. It makes the same float operations and the same generator calls
-    in the same order, so a chain run with either is bit-identical."""
+    code. It makes the same float operations and takes the same uniforms
+    and normals in the same order, so a chain run with either is
+    bit-identical."""
     if not i < j:
         raise InputError("update_edge requires i < j")
     counters["edge_proposed"] += 1
@@ -133,7 +137,7 @@ def update_edge_reference(st, i, j, rng, work, counters, r_proposal,
         counters["edge_empty_interval"] += 1
         return st
 
-    target = rng.random() * total
+    target = uniform() * total
     acc = 0.0
     cell_idx = 3
     for idx in range(4):
@@ -156,7 +160,7 @@ def update_edge_reference(st, i, j, rng, work, counters, r_proposal,
                 walk_reject = True
             r_new[k] = cand
         else:
-            r_new[k] = u + (v - u) * rng.random()
+            r_new[k] = u + (v - u) * uniform()
     if walk_reject:
         return st
 
@@ -177,7 +181,7 @@ def update_edge_reference(st, i, j, rng, work, counters, r_proposal,
 
     if not math.isfinite(delta_ll):
         return st
-    u = rng.random()
+    u = uniform()
     if u == 0.0 or math.log(u) < delta_ll:
         for k in range(2):
             st.a[k, i, j] = st.a[k, j, i] = a_new[k]
@@ -190,6 +194,28 @@ def update_edge_reference(st, i, j, rng, work, counters, r_proposal,
                 work.move_entry(k, i, j, c_new, ratio)
         counters["edge_accepted"] += 1
     return st
+
+
+def sweep_reference(st, d, h, cfg, rng, work, counters):
+    """``bggm.sampler._sweep`` with every edge-loop uniform drawn by its
+    own ``rng.random()`` call, in both proposal modes. The production
+    sweep draws the prior-proposal uniforms in one call and rewinds the
+    generator to just past the ones taken; a chain run with either sweep
+    is bit-identical."""
+    p = st.p
+    for i in range(p):
+        for j in range(i + 1, p):
+            sampler.update_edge(st, i, j, rng, rng.random, work, counters,
+                                cfg.r_proposal, cfg.r_walk_step)
+    drift = work.reanchor(st)
+    if drift > counters["w_drift_max"]:
+        counters["w_drift_max"] = drift
+    for i in range(p):
+        sampler.update_s(st, h, i, rng, work, counters, cfg.s_proposal_sd)
+    sampler.update_mu(st, h, rng, work)
+    sampler.update_q_pi(st, h, rng)
+    sampler.update_labels(st, d, h, rng, work)
+    work.refresh_scatter(st)
 
 
 def validate_state_reference(st):

@@ -262,6 +262,18 @@ class TestConfigFileAndErrors:
                        "--out", tmp_path / "o", "--alpha", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("option, value", [
+        ("--s-proposal-sd", "nan"), ("--s-proposal-sd", "inf"),
+        ("--r-walk-step", "nan")])
+    def test_non_finite_proposal_scale_exit_2(self, sim_dir, tmp_path, caplog,
+                                              option, value):
+        out = tmp_path / "o"
+        code = run_cli("fit", "--data", sim_dir / "dataset.csv", "--out", out,
+                       "--iterations", 20, "--burn-in", 5, option, value)
+        assert code == 2
+        assert option[2:].replace("-", "_") in caplog.text
+        assert not (out / "results.npz").exists()
+
     def test_numerical_abort_exit_3(self, sim_dir, tmp_path, monkeypatch):
         import bggm.cli
         from bggm.errors import NumericalAbort

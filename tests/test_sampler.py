@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.stats import invgamma
@@ -33,6 +35,7 @@ from oracles import (
     empty_dataset,
     entry_kernel,
     mvn_logpdf,
+    sweep_reference,
     update_edge_reference,
 )
 from test_pdcore import near_singular_correlation, random_correlation
@@ -111,6 +114,12 @@ class TestChainConfig:
     def test_thin_bounds(self):
         with pytest.raises(InputError):
             ChainConfig(iterations=10, burn_in=5, thin=6)
+
+    @pytest.mark.parametrize("name", ["r_walk_step", "s_proposal_sd"])
+    @pytest.mark.parametrize("value", [0.0, -0.1, np.nan, np.inf])
+    def test_proposal_scales_finite_and_positive(self, name, value):
+        with pytest.raises(InputError, match=name):
+            ChainConfig(**{name: value})
 
 
 class TestInitState:
@@ -219,7 +228,7 @@ class TestUpdateEdge:
         hits = np.zeros(3)
         sweeps = 20000
         for _ in range(sweeps):
-            update_edge(st, 0, 1, gen, work, new_counters(),
+            update_edge(st, 0, 1, gen, gen.random, work, new_counters(),
                         r_proposal="prior", r_walk_step=0.2)
             update_q_pi(st, h, gen)
             hits += (st.a[0, 0, 1], st.a[1, 0, 1], st.a[0, 0, 1] ^ st.a[1, 0, 1])
@@ -236,7 +245,7 @@ class TestUpdateEdge:
         gen = np.random.default_rng(19)
         work = _Workspace(st, d)
         for _ in range(50):
-            update_edge(st, 0, 1, gen, work, new_counters(),
+            update_edge(st, 0, 1, gen, gen.random, work, new_counters(),
                         r_proposal="prior", r_walk_step=0.2)
             assert st.a[0, 0, 1] == 1 and st.a[1, 0, 1] == 1
 
@@ -260,10 +269,10 @@ class TestUpdateEdge:
         d = empty_dataset(3)
         h = default_hyperparameters(3)
         st = init_state(d, h)
+        gen = np.random.default_rng(0)
         with pytest.raises(InputError):
-            update_edge(st, 2, 1, np.random.default_rng(0),
-                        _Workspace(st, d), new_counters(),
-                        r_proposal="prior", r_walk_step=0.2)
+            update_edge(st, 2, 1, gen, gen.random, _Workspace(st, d),
+                        new_counters(), r_proposal="prior", r_walk_step=0.2)
 
     @pytest.mark.parametrize("uniform, accepted", [(0.0, 1), (5e-324, 0)])
     def test_zero_accept_uniform_accepts(self, uniform, accepted):
@@ -275,7 +284,7 @@ class TestUpdateEdge:
         counters = new_counters()
         # the cell draw picks (1, 1); both values land at 0.75 of (-1, 1)
         rng = StubRng([0.999, 0.75, 0.75, uniform])
-        update_edge(st, 0, 1, rng, work, counters,
+        update_edge(st, 0, 1, rng, rng.random, work, counters,
                     r_proposal="prior", r_walk_step=0.2)
         assert rng.uniforms == []
         assert counters["edge_accepted"] == accepted
@@ -364,7 +373,7 @@ class TestWorkspaceRank2Update:
         for _ in range(200):
             before = work.c[:, 0, 1].copy()
             logdet_before = np.array([np.linalg.slogdet(c)[1] for c in work.c])
-            update_edge(st, 0, 1, gen, work, counters,
+            update_edge(st, 0, 1, gen, gen.random, work, counters,
                         r_proposal="prior", r_walk_step=0.2)
             fresh = _Workspace(st, d)
             for k in range(2):
@@ -738,23 +747,146 @@ def chain_case(case, monkeypatch):
             ChainConfig(iterations=20, burn_in=5, seed=4))
 
 
+def chains_against_reference(case, monkeypatch, name, reference):
+    """Run the chain of ``case``, then again with ``bggm.sampler.<name>``
+    replaced by ``reference``; assert that the two agree draw for draw and
+    count for count, and return the first."""
+    d, cfg = chain_case(case, monkeypatch)
+    h = default_hyperparameters(d.p)
+    production = run_chain(d, h, cfg)
+    monkeypatch.setattr(sampler, name, reference)
+    other = run_chain(d, h, cfg)
+    for field in ("a", "r", "s", "mu", "z_u"):
+        assert np.array_equal(getattr(production, field),
+                              getattr(other, field)), field
+    assert production.counts == other.counts
+    assert production.counts["edge_accepted"] > 0
+    return production
+
+
 @pytest.mark.parametrize("case", ["prior", "walk-unknown-rows", "ill-conditioned"])
 def test_update_edge_matches_reference_bit_for_bit(case, monkeypatch):
     """The inline edge kernel against ``update_edge_reference``, the same
     update written on ``entry_kernel``/``det_ratio``: whole chains agree
     draw for draw and count for count."""
-    d, cfg = chain_case(case, monkeypatch)
-    h = default_hyperparameters(d.p)
-    production = run_chain(d, h, cfg)
-    monkeypatch.setattr("bggm.sampler.update_edge", update_edge_reference)
-    reference = run_chain(d, h, cfg)
-    for name in ("a", "r", "s", "mu", "z_u"):
-        assert np.array_equal(getattr(production, name),
-                              getattr(reference, name)), name
-    assert production.counts == reference.counts
-    counts = production.counts
-    assert counts["edge_accepted"] > 0
+    production = chains_against_reference(case, monkeypatch, "update_edge",
+                                          update_edge_reference)
     if case == "walk-unknown-rows":
         assert production.z_u.shape[1] == 6
     if case == "ill-conditioned":
-        assert counts["w_refactor_forced"] > 0
+        assert production.counts["w_refactor_forced"] > 0
+
+
+@pytest.mark.parametrize("case", ["prior", "walk-unknown-rows", "ill-conditioned"])
+def test_buffered_sweep_matches_reference_bit_for_bit(case, monkeypatch):
+    """``_sweep`` draws the prior-proposal edge uniforms in one call and
+    rewinds the generator to just past the ones taken; whole chains agree
+    draw for draw and count for count with ``sweep_reference``, which
+    draws each uniform by its own ``rng.random()`` call."""
+    chains_against_reference(case, monkeypatch, "_sweep", sweep_reference)
+
+
+def test_buffered_sweep_rewinds_past_early_exits():
+    """Proposals that end before their fourth uniform leave part of the
+    sweep's buffer unused; the generator must still end the sweep where
+    one ``rng.random()`` call per uniform taken leaves it."""
+    d = two_class_gaussian(5, 12, np.random.default_rng(47))
+    h = default_hyperparameters(5)
+    st = init_state(d, h)
+    # q1 = q2 = pi = 1 give every cell of these edges zero prior weight,
+    # so their proposals end before the cell draw
+    for i, j in ((0, 1), (2, 4)):
+        st.q[:, i, j] = st.q[:, j, i] = 1.0
+        st.pi[i, j] = st.pi[j, i] = 1.0
+    runs = []
+    for sweep in (_sweep, sweep_reference):
+        state = copy.deepcopy(st)
+        counters = new_counters()
+        gen = np.random.default_rng(48)
+        sweep(state, d, h, ChainConfig(), gen, _Workspace(state, d), counters)
+        runs.append((state, counters, gen.bit_generator.state))
+    (st1, counts1, gen1), (st2, counts2, gen2) = runs
+    assert counts1["edge_empty_interval"] == 2
+    assert counts1 == counts2
+    assert gen1 == gen2
+    for name in ("a", "r", "s", "mu", "q", "pi"):
+        assert np.array_equal(getattr(st1, name), getattr(st2, name)), name
+
+
+def greedy_edge_update(extra, taken):
+    """An ``update_edge`` that records how many uniforms each call takes,
+    after taking ``extra`` more itself first."""
+    def wrapped(st, i, j, rng, uniform, *rest):
+        count = 0
+
+        def counted():
+            nonlocal count
+            count += 1
+            return uniform()
+
+        for _ in range(extra):
+            counted()
+        update_edge(st, i, j, rng, counted, *rest)
+        taken.append(count)
+    return wrapped
+
+
+class TestEdgeUniformBuffer:
+    def sweep_setup(self, p):
+        # no data: every proposal with a feasible cell is accepted, so
+        # most calls take all four uniforms
+        d = empty_dataset(p)
+        h = default_hyperparameters(p)
+        st = init_state(d, h)
+        return st, d, h, _Workspace(st, d), ChainConfig()
+
+    def test_no_call_takes_more_than_four(self, monkeypatch):
+        taken = []
+        monkeypatch.setattr("bggm.sampler.update_edge",
+                            greedy_edge_update(0, taken))
+        st, d, h, work, cfg = self.sweep_setup(6)
+        counters = new_counters()
+        gen = np.random.default_rng(23)
+        for _ in range(30):
+            _sweep(st, d, h, cfg, gen, work, counters)
+        assert len(taken) == counters["edge_proposed"] == 30 * 15
+        assert max(taken) == 4
+        assert counters["edge_accepted"] > 0.9 * len(taken)
+
+    def test_exhausted_buffer_raises(self, monkeypatch):
+        # a fifth uniform per edge runs the sweep's buffer dry
+        taken = []
+        monkeypatch.setattr("bggm.sampler.update_edge",
+                            greedy_edge_update(1, taken))
+        st, d, h, work, cfg = self.sweep_setup(6)
+        with pytest.raises(IndexError):
+            _sweep(st, d, h, cfg, np.random.default_rng(23), work,
+                   new_counters())
+        assert sum(taken) <= 2 * 6 * 5
+
+
+def test_pcg64_rewind_contract():
+    """The generator properties ``_sweep``'s buffered uniforms rely on:
+    ``default_rng`` is PCG64, random(n) gives the doubles of n scalar
+    calls, and restoring a saved state then advancing by k leaves the
+    generator, its 32-bit buffer flag included, where k scalar calls do."""
+    gen = np.random.default_rng(31)
+    assert type(gen.bit_generator).__name__ == "PCG64"
+    gen.standard_normal(3)
+    gen.beta(2.0, 3.0, size=4)
+    saved = gen.bit_generator.state
+    assert saved["has_uint32"] == 0
+    block = gen.random(50)
+    gen.bit_generator.state = saved
+    scalars = [gen.random() for _ in range(50)]
+    assert block.tolist() == scalars
+    for k in (0, 1, 17, 50):
+        gen.bit_generator.state = saved
+        for _ in range(k):
+            gen.random()
+        want = gen.bit_generator.state
+        gen.bit_generator.state = saved
+        gen.random(50)
+        gen.bit_generator.state = saved
+        gen.bit_generator.advance(k)
+        assert gen.bit_generator.state == want, k
