@@ -193,6 +193,8 @@ class SplitPlan:
             raise InputError("n_replicates must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise InputError("train_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from .errors import InputError, NumericalAbort, ValidationError
 from .model import CLASS1, CLASS2, ChainState, Dataset, validate_state
@@ -66,6 +65,8 @@ class ChainConfig:
                 raise InputError(f"{name} must be finite and positive, got {value}")
         if self.validate_every < 0:
             raise InputError("validate_every must be non-negative")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def n_draws(self):
@@ -216,7 +217,8 @@ class _Workspace:
     W_k in O(p^2) through ``move_entry``; ``refresh_c`` recomputes all
     three from a Cholesky factor in O(p^3), and ``reanchor`` does so for
     both classes once per sweep so that round-off in W_k cannot
-    accumulate.
+    accumulate. A refactor takes W_k = L^-T L^-1 from the lower Cholesky
+    factor L of C_k (see ``_factor``).
 
     The scatter matrices depend on the means and the assignments.
     ``update_mu`` and ``update_labels`` change those and leave the
@@ -241,10 +243,22 @@ class _Workspace:
 
     def _factor(self, k, c, chol):
         """Store C_k = ``c`` with its log-determinant and inverse from its
-        lower Cholesky factor ``chol``."""
+        lower Cholesky factor L = ``chol``: log det C_k is twice the sum of
+        log diag L, and W_k = L^-T L^-1. ``k`` is a class index, or
+        ``...`` with both classes stacked in ``c`` and ``chol``.
+
+        W_k comes from the factor the log-determinant needs anyway, not
+        from an LU inverse of C_k: the rank-2 updates carry W_k's round-off
+        into every later determinant ratio and log-determinant, and from
+        an LU inverse the p=40 rank-2 workspace test misses its 1e-9
+        log-determinant tolerance. L^-T L^-1 is also exactly symmetric.
+        numpy has no triangular solver, so L^-1 is numpy's general
+        inverse of L."""
         self.c[k] = c
-        self.logdet_c[k] = 2.0 * np.sum(np.log(np.diagonal(chol)))
-        self.w[k] = dpotrs(chol, self.eye, lower=1)[0]
+        self.logdet_c[k] = 2.0 * np.sum(
+            np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+        inv_chol = np.linalg.inv(chol)
+        self.w[k] = np.swapaxes(inv_chol, -1, -2) @ inv_chol
 
     def refresh_c(self, st, k):
         c = hadamard_correlation(st.a[k], st.r[k])
@@ -279,9 +293,7 @@ class _Workspace:
         c = st.a * st.r
         diag = np.arange(self.d.p)
         c[:, diag, diag] = 1.0
-        chol = np.linalg.cholesky(c)
-        for k in range(2):
-            self._factor(k, c[k], chol[k])
+        self._factor(..., c, np.linalg.cholesky(c))
         return drift
 
     def refresh_assignments(self, st):
@@ -511,22 +523,21 @@ def update_s(st, h, i, rng, work, counters, proposal_sd):
 
 def update_mu(st, h, rng, work):
     """Gibbs draw of both class means from the conjugate normal full
-    conditional N((B0 + n_k Omega)^-1 (B0 mu0 + Omega sum(y)),
-    (B0 + n_k Omega)^-1); classes without members draw from the prior.
-    The scatter matrices go stale; ``_sweep`` refreshes them."""
-    for k in range(2):
-        n_k = work.n_k[k]
-        noise = rng.standard_normal(st.p)
-        if n_k == 0:
-            chol = np.linalg.cholesky(h.b0[k])
-            st.mu[k] = h.mu0[k] + dtrtrs(chol.T, noise, lower=0)[0]
-            continue
-        omega = work.omega(st, k)
-        post_prec = h.b0[k] + n_k * omega
-        rhs = h.b0[k] @ h.mu0[k] + omega @ work.ysum[k]
-        chol = np.linalg.cholesky(post_prec)
-        mean = dpotrs(chol, rhs, lower=1)[0]
-        st.mu[k] = mean + dtrtrs(chol.T, noise, lower=0)[0]
+    conditional N(P_k^-1 (B0 mu0 + Omega sum(y)), P_k^-1), where
+    P_k = B0 + n_k Omega; a class without members (n_k = 0) draws from
+    the prior N(mu0, B0^-1) by the same formula. The scatter matrices
+    go stale; ``_sweep`` refreshes them.
+
+    Both classes are stacked: with L_k the lower Cholesky factor of P_k
+    and z_k standard normal, mu_k = L_k^-T (L_k^-1 rhs_k + z_k), that is
+    the mean L_k^-T L_k^-1 rhs_k plus the noise L_k^-T z_k. numpy has no
+    triangular solver, so L_k^-1 is numpy's general inverse of L_k."""
+    n_k = np.array(work.n_k, dtype=float)[:, None, None]
+    omega = work.c * (st.s[:, :, None] * st.s[:, None, :])
+    rhs = h.b0 @ h.mu0[:, :, None] + omega @ work.ysum[:, :, None]
+    inv_chol = np.linalg.inv(np.linalg.cholesky(h.b0 + n_k * omega))
+    shifted = inv_chol @ rhs + rng.standard_normal((2, st.p))[:, :, None]
+    st.mu[:] = (np.swapaxes(inv_chol, 1, 2) @ shifted)[:, :, 0]
     return st
 
 

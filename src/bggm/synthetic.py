@@ -50,6 +50,8 @@ def generate_model(p, n_conserved, n_diff, corr_range, seed,
     lo, hi = corr_range
     if not (0.0 <= lo <= hi < 1.0):
         raise InputError("corr_range must satisfy 0 <= lo <= hi < 1")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]

@@ -10,6 +10,9 @@ functions, and ``update_edge_reference`` is the edge update written on
 them, which the sampler's inline ``update_edge`` must match draw for
 draw; ``sweep_reference`` is the sweep with one generator call per
 edge-loop uniform, which the buffered ``_sweep`` must match.
+``factor_reference`` and ``mu_draw_reference`` are the workspace
+factorisation and the mean draw through scipy's LAPACK Cholesky solves,
+which the sampler's numpy-only forms must match to round-off.
 ``validate_state_reference`` checks the chain-state invariants one class
 at a time, the form the stacked ``model.validate_state`` must match.
 ``GaussianNBReference`` scores the naive Bayes rule with scipy's normal
@@ -22,6 +25,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.stats import norm
 
 from bggm import sampler
@@ -216,6 +220,43 @@ def sweep_reference(st, d, h, cfg, rng, work, counters):
     sampler.update_q_pi(st, h, rng)
     sampler.update_labels(st, d, h, rng, work)
     work.refresh_scatter(st)
+
+
+def factor_reference(c):
+    """Log-determinant and inverse of the PD matrix ``c`` from its lower
+    Cholesky factor, the inverse by LAPACK's Cholesky solve ``dpotrs``
+    against the identity."""
+    chol = np.linalg.cholesky(c)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol)))
+    return logdet, dpotrs(chol, np.eye(len(c)), lower=1)[0]
+
+
+def mu_draw_reference(st, h, work, z):
+    """Both classes' mean draws split into the conditional mean and the
+    noise, one class at a time through LAPACK's triangular solves, given
+    the standard normals ``z`` (2, p): with L the lower Cholesky factor
+    of the posterior precision P = B0 + n_k Omega, the mean is
+    P^-1 (B0 mu0 + Omega sum(y)) by ``dpotrs`` and the noise L^-T z by
+    ``dtrtrs``. A class without members takes mu0 as its mean and the
+    factor of B0. Returns the (2, p) means, the (2, p) noises and the
+    (2, p, p) posterior precisions."""
+    means, noises, precs = [], [], []
+    for k in range(2):
+        n_k = work.n_k[k]
+        if n_k == 0:
+            prec = h.b0[k]
+            chol = np.linalg.cholesky(prec)
+            mean = h.mu0[k]
+        else:
+            omega = work.omega(st, k)
+            prec = h.b0[k] + n_k * omega
+            chol = np.linalg.cholesky(prec)
+            rhs = h.b0[k] @ h.mu0[k] + omega @ work.ysum[k]
+            mean = dpotrs(chol, rhs, lower=1)[0]
+        means.append(mean)
+        noises.append(dtrtrs(chol.T, z[k], lower=0)[0])
+        precs.append(prec)
+    return np.array(means), np.array(noises), np.array(precs)
 
 
 def validate_state_reference(st):

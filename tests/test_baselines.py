@@ -127,6 +127,10 @@ class TestSplits:
         with pytest.raises(InputError):
             SplitPlan(n_replicates=5, train_fraction=1.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            SplitPlan(n_replicates=1, seed=-1)
+
 
 class TestBenchmark:
     def test_perfect_separability_zero_error(self):

@@ -15,18 +15,6 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-def test_startup_does_not_import_scipy_stats():
-    # importing scipy.stats more than doubles the start-up time of every
-    # command, and no production module needs it
-    src = str(Path(bggm.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, bggm, bggm.cli; "
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-
-
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sim")
@@ -34,6 +22,48 @@ def sim_dir(tmp_path_factory):
                    "--differential", 2, "--n1", 30, "--n2", 30, "--seed", 4)
     assert code == 0
     return out
+
+
+# Runs fit with a prior network, networks, predict and a one-replicate
+# benchmark in one process, then prints the scipy modules it has loaded.
+_SCIPY_FREE_RUN = """
+import sys
+from pathlib import Path
+
+from bggm.cli import main
+
+data, out = sys.argv[1], Path(sys.argv[2])
+chain = ["--iterations", "20", "--burn-in", "5", "--seed", "1"]
+(out / "net.tsv").write_text("V1\\tV2\\timportant\\n")
+runs = [
+    ["fit", "--data", data, "--out", str(out / "fit"),
+     "--prior-network", str(out / "net.tsv"), *chain],
+    ["networks", "--results", str(out / "fit" / "results.npz"),
+     "--out", str(out / "nets"), "--alpha", "0.2"],
+    ["predict", "--results", str(out / "fit" / "results.npz"),
+     "--out", str(out / "pred")],
+    ["benchmark", "--data", data, "--out", str(out / "bench"),
+     "--replicates", "1", *chain],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_commands_load_no_scipy(sim_dir, tmp_path):
+    # importing scipy.linalg more than doubles the start-up time of every
+    # command; the program needs numpy alone, and this fails on an import
+    # of scipy at start-up or deferred into any command
+    src = str(Path(bggm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(sim_dir / "dataset.csv"),
+         str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "bench" / "benchmark.tsv").exists()
 
 
 class TestSimulate:
@@ -273,6 +303,15 @@ class TestConfigFileAndErrors:
         assert code == 2
         assert option[2:].replace("-", "_") in caplog.text
         assert not (out / "results.npz").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "benchmark", "simulate"])
+    def test_negative_seed_exit_2(self, sim_dir, tmp_path, caplog, command):
+        data = [] if command == "simulate" else ["--data", sim_dir / "dataset.csv"]
+        out = tmp_path / "o"
+        code = run_cli(command, *data, "--out", out, "--seed", -1)
+        assert code == 2
+        assert "seed must be non-negative, got -1" in caplog.text
+        assert not out.exists()
 
     def test_numerical_abort_exit_3(self, sim_dir, tmp_path, monkeypatch):
         import bggm.cli

@@ -34,6 +34,8 @@ from oracles import (
     det_ratio,
     empty_dataset,
     entry_kernel,
+    factor_reference,
+    mu_draw_reference,
     mvn_logpdf,
     sweep_reference,
     update_edge_reference,
@@ -120,6 +122,11 @@ class TestChainConfig:
     def test_proposal_scales_finite_and_positive(self, name, value):
         with pytest.raises(InputError, match=name):
             ChainConfig(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        # numpy's default_rng would reject it only once the chain starts
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            ChainConfig(seed=-1)
 
 
 class TestInitState:
@@ -391,6 +398,78 @@ class TestWorkspaceRank2Update:
         assert RANK2_MIN_RATIO <= min(rank2_ratios)
         assert max(rank2_ratios) <= 1.0 / RANK2_MIN_RATIO
         assert (counters["edge_accepted"], counters["edge_proposed"]) == (200, 200)
+
+
+# The numpy-only factorisation and mean draw against the LAPACK Cholesky
+# solves in oracles: both routes are backward stable, so they may differ by
+# a small multiple of p * cond * eps relative to the result.
+ORACLE_SLACK = 10.0
+EPS = np.finfo(float).eps
+
+
+def assert_within_cond_eps(x, ref, cond):
+    p = ref.shape[-1]
+    bound = ORACLE_SLACK * p * cond * EPS * np.max(np.abs(ref))
+    assert np.max(np.abs(x - ref)) <= bound
+
+
+@pytest.mark.parametrize("case", ["p3", "p10", "p40", "near-singular"])
+def test_workspace_factor_matches_lapack_reference(case):
+    if case == "near-singular":
+        c = near_singular_correlation(10, np.random.default_rng(8))
+        corrs = [c, c.copy()]
+    else:
+        p = int(case[1:])
+        rng = np.random.default_rng(700 + p)
+        corrs = [random_correlation(p, rng) for _ in range(2)]
+    st, _, work = workspace_on(corrs)
+    built = (work.logdet_c.copy(), work.w.copy())  # one class at a time
+    work.reanchor(st)  # both classes stacked
+    for logdets, ws in (built, (work.logdet_c, work.w)):
+        for k in range(2):
+            logdet, w = factor_reference(work.c[k])
+            p = len(w)
+            assert abs(logdets[k] - logdet) <= (
+                ORACLE_SLACK * p * EPS * max(1.0, abs(logdet)))
+            assert_within_cond_eps(ws[k], w, np.linalg.cond(work.c[k]))
+
+
+class FixedNormals:
+    """Generator stand-in whose one array draw returns ``z``."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z.copy()
+
+
+@pytest.mark.parametrize("p, empty_class", [(3, False), (10, False), (40, False),
+                                            (4, True)])
+def test_mu_draw_matches_lapack_reference(p, empty_class):
+    rng = np.random.default_rng(800 + p)
+    d = work_data = two_class_gaussian(p, 2 * p, rng)
+    if empty_class:
+        # the workspace sees class 1's rows only, so class 2 has n_k = 0
+        work_data = Dataset(d.y[:2 * p], d.labels[:2 * p], d.names)
+    h = hyper_with(p, b0_scale=0.5, mu0=rng.standard_normal((2, p)))
+    st = init_state(d, h)
+    st.a[:] = 1
+    st.r[:] = [random_correlation(p, rng) for _ in range(2)]
+    st.s[:] = rng.uniform(0.5, 2.0, (2, p))
+    work = _Workspace(st, work_data)
+    z = rng.standard_normal((2, p))
+    mean, noise, prec = mu_draw_reference(st, h, work, z)
+    update_mu(st, h, FixedNormals(np.zeros((2, p))), work)
+    mean_numpy = st.mu.copy()
+    update_mu(st, h, FixedNormals(z), work)
+    for k in range(2):
+        cond = np.linalg.cond(prec[k])
+        assert_within_cond_eps(mean_numpy[k], mean[k], cond)
+        assert_within_cond_eps(st.mu[k], mean[k] + noise[k], cond)
+    if empty_class:
+        assert work.n_k == (2 * p, 0)
 
 
 class TestSweepReanchor:

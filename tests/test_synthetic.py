@@ -62,6 +62,10 @@ class TestGenerateModel:
         with pytest.raises(InputError):
             generate_model(3, 3, 1, (0.4, 0.7), seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be non-negative"):
+            generate_model(3, 1, 1, (0.4, 0.7), seed=-1)
+
 
 class TestSampleData:
     def test_covariance_matches_at_large_n(self):
